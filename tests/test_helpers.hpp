@@ -1,16 +1,29 @@
 // Shared fixtures and helpers for the test suite.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/regular.hpp"
 #include "graph/trees.hpp"
+#include "store/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace ckp::testing {
+
+// FNV-1a over a result vector's element bytes — the same witness as the
+// serve registry's output_digest, so pinned constants read alike in both.
+template <typename T>
+std::uint64_t bytes_digest(const std::vector<T>& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                  v.size() * sizeof(T)));
+}
 
 // A labeled menagerie of small graphs covering the structural corner cases.
 struct NamedGraph {
