@@ -1,26 +1,23 @@
 // Experiment E18 — engine scaling curves on 10^5–10^8-node Δ-regular
-// bipartite graphs: streaming generation throughput, packed-vs-generic
-// engine throughput, the SIMD-vs-scalar kernel speedup, and engine-side
-// bytes/node for the full packed algorithm roster.
+// bipartite graphs: streaming generation throughput, engine throughput, the
+// SIMD-vs-scalar kernel speedup, and engine-side bytes/node for the full
+// algorithm roster.
 //
 // One block per n = 2^e:
 //
 //   generate_streamed   in-place union-of-matchings CSR generation
 //                       (make_random_bipartite_regular_streamed), nodes/sec
-//   mis_luby_packed     RandLOCAL Luby on the packed fast path, work-stealing
-//                       schedule; node·rounds/sec and engine bytes/node.
-//                       Also run with EngineOptions::simd off — outputs are
-//                       checked bit-identical and the scalar/vector wall
-//                       ratio is recorded as simd_speedup
-//   mis_luby_generic    same runs forced onto the generic path (only up to
-//                       --generic-max-exp); the packed record carries
-//                       speedup_vs_generic, outputs checked bit-identical
+//   mis_luby_packed     RandLOCAL Luby, work-stealing schedule;
+//                       node·rounds/sec and engine bytes/node. Also run
+//                       with EngineOptions::simd off — outputs are checked
+//                       bit-identical and the scalar/vector wall ratio is
+//                       recorded as simd_speedup
 //   mis_ghaffari_local  RandLOCAL desire-level MIS with shattering residue
 //   matching_*_local    the handshake matchings: randomized (stateless
 //                       draws, no RNG streams) and deterministic (greedy by
 //                       edge priority, sequential ids)
 //   plus_one_local      RandLOCAL (Δ+1) trial coloring
-//   greedy_color_local  DetLOCAL packed flagship, static schedule
+//   greedy_color_local  DetLOCAL flagship, static schedule
 //   sinkless_local      RandLOCAL sinkless orientation taking the
 //                       generator's matching decomposition as its coloring
 //   delta_coloring_thm10/11_local  the paper's Δ-coloring algorithms on a
@@ -30,7 +27,7 @@
 // --algo=a,b,... restricts the sweep to a subset of the roster (default:
 // everything), so single-algorithm investigations don't pay for the rest.
 //
-// Budget gates (--assert-budget): every packed algorithm's engine bytes/node
+// Budget gates (--assert-budget): every algorithm's engine bytes/node
 // must stay within its budget, derived from --budget-bytes (the DetLOCAL
 // baseline, default 48): +32 for per-node RNG streams (RandLOCAL algorithms
 // that draw), +4·Δ for port-aligned edge labels. scripts/check_scale.sh
@@ -72,8 +69,6 @@ int main(int argc, char** argv) {
   const int min_exp = static_cast<int>(flags.get_int("min-exp", 16));
   const int max_exp = static_cast<int>(flags.get_int("max-exp", 20));
   const int exp_step = static_cast<int>(flags.get_int("exp-step", 2));
-  const int generic_max_exp =
-      static_cast<int>(flags.get_int("generic-max-exp", 20));
   const int d = static_cast<int>(flags.get_int("d", 3));
   const int seeds = static_cast<int>(flags.get_int("seeds", 1));
   const bool assert_budget = flags.get_bool("assert-budget", false);
@@ -115,7 +110,7 @@ int main(int argc, char** argv) {
             << "Δ=" << d << "-regular bipartite, threads=" << threads
             << ", shard_nodes=" << shard_nodes
             << ", simd=" << simd::kBackendName << "\n\n";
-  Table t({"n", "gen Mn/s", "luby Mn·r/s", "luby B/n", "luby spd", "simd spd",
+  Table t({"n", "gen Mn/s", "luby Mn·r/s", "luby B/n", "simd spd",
            "cmp spd", "ghaf B/n", "mrand B/n", "mdet B/n", "p1 B/n",
            "greedy B/n", "t10 B/n", "t11 B/n", "util"});
 
@@ -182,14 +177,13 @@ int main(int argc, char** argv) {
     double greedy_bytes_per_node = 0.0;
     double thm10_bytes_per_node = 0.0;
     double thm11_bytes_per_node = 0.0;
-    double speedup = 0.0;
     double simd_speedup = 0.0;
     double simd_compact_speedup = 0.0;
     double util = 0.0;
 
-    EngineOptions packed_opts;
-    packed_opts.threads = threads;
-    packed_opts.schedule = EngineSchedule::kWorkStealing;
+    EngineOptions rand_opts;
+    rand_opts.threads = threads;
+    rand_opts.schedule = EngineSchedule::kWorkStealing;
 
     // The Δ-coloring roster needs a forest (the rake phases peel trees;
     // the bipartite workhorse has cycles), so it rides on its own
@@ -208,12 +202,12 @@ int main(int argc, char** argv) {
 
       if (enabled("luby")) {
         // Untimed warmup: the first engine run on a fresh heap pays the page
-        // faults for cur/nxt/rng/active; without it the simd-vs-scalar and
-        // packed-vs-generic ratios measure the allocator, not the kernels.
-        (void)mis_luby(in, 1 << 20, packed_opts);
+        // faults for cur/nxt/rng/active; without it the simd-vs-scalar
+        // ratio measures the allocator, not the kernels.
+        (void)mis_luby(in, 1 << 20, rand_opts);
         before = shared_pool_stats();
         Timer luby_timer;
-        const auto luby = mis_luby(in, 1 << 20, packed_opts);
+        const auto luby = mis_luby(in, 1 << 20, rand_opts);
         const double luby_seconds = luby_timer.seconds();
         CKP_CHECK(luby.completed);
         CKP_CHECK(verify_mis(g, luby.in_set).ok);
@@ -228,13 +222,12 @@ int main(int argc, char** argv) {
           if (name == "pool_utilization") util = value;
         }
 
-        // SIMD kernels off, same packed path: bit-identical outputs, the
-        // wall ratio is the vectorization win of the steady-state loops.
-        // The engine round is gather-latency-bound, so expect ~1x end to
-        // end; the kernel-level compaction ratio below is where the vector
-        // unit shows.
+        // SIMD kernels off: bit-identical outputs, the wall ratio is the
+        // vectorization win of the steady-state loops. The engine round is
+        // gather-latency-bound, so expect ~1x end to end; the kernel-level
+        // compaction ratio below is where the vector unit shows.
         if (simd::kHaveVectorBackend) {
-          EngineOptions scalar_opts = packed_opts;
+          EngineOptions scalar_opts = rand_opts;
           scalar_opts.simd = false;
           Timer scalar_timer;
           const auto scalar = mis_luby(in, 1 << 20, scalar_opts);
@@ -280,32 +273,13 @@ int main(int argc, char** argv) {
           rec.metric("simd_compact_speedup", simd_compact_speedup);
         }
 
-        if (e <= generic_max_exp) {
-          EngineOptions generic_opts = packed_opts;
-          generic_opts.force_generic = true;
-          before = shared_pool_stats();
-          Timer generic_timer;
-          const auto generic = mis_luby(in, 1 << 20, generic_opts);
-          const double generic_seconds = generic_timer.seconds();
-          CKP_CHECK_MSG(generic.in_set == luby.in_set &&
-                            generic.rounds == luby.rounds,
-                        "packed and generic Luby disagree at n=" << n);
-          speedup = generic_seconds / luby_seconds;
-          rec.metric("speedup_vs_generic", speedup);
-          RunRecord grec = engine_record(
-              "mis_luby_generic", in.seed, generic.rounds, generic_seconds,
-              static_cast<double>(generic.engine_bytes) /
-                  static_cast<double>(n),
-              before);
-          reporter.add(std::move(grec));
-        }
         reporter.add(std::move(rec));
       }
 
       if (enabled("ghaffari")) {
         before = shared_pool_stats();
         Timer timer;
-        const auto ghaffari = mis_ghaffari_local(in, 1 << 20, packed_opts);
+        const auto ghaffari = mis_ghaffari_local(in, 1 << 20, rand_opts);
         const double seconds = timer.seconds();
         CKP_CHECK(ghaffari.completed);
         CKP_CHECK(verify_mis(g, ghaffari.in_set).ok);
@@ -327,7 +301,7 @@ int main(int argc, char** argv) {
         before = shared_pool_stats();
         Timer timer;
         const auto matching = matching_randomized_local(in, 1 << 20,
-                                                        packed_opts);
+                                                        rand_opts);
         const double seconds = timer.seconds();
         CKP_CHECK(matching.completed);
         CKP_CHECK(verify_maximal_matching(g, matching.in_matching).ok);
@@ -343,7 +317,7 @@ int main(int argc, char** argv) {
       if (enabled("plus_one")) {
         before = shared_pool_stats();
         Timer timer;
-        const auto coloring = plus_one_local(in, d + 1, 1 << 20, packed_opts);
+        const auto coloring = plus_one_local(in, d + 1, 1 << 20, rand_opts);
         const double seconds = timer.seconds();
         CKP_CHECK(coloring.completed);
         CKP_CHECK(verify_coloring(g, coloring.colors, d + 1).ok);
@@ -358,7 +332,7 @@ int main(int argc, char** argv) {
         Timer sink_timer;
         LocalInput sink_in = in;
         sink_in.edge_labels = ecg.edge_color;
-        const auto sink = sinkless_local(sink_in, 1 << 14, packed_opts);
+        const auto sink = sinkless_local(sink_in, 1 << 14, rand_opts);
         const double sink_seconds = sink_timer.seconds();
         const double sink_bytes_per_node =
             gate("sinkless_local", sink.engine_bytes, n,
@@ -368,20 +342,6 @@ int main(int argc, char** argv) {
                           sink_seconds, sink_bytes_per_node, before);
         srec.verified = sink.completed;
         srec.metric("unsatisfied", static_cast<double>(sink.unsatisfied));
-        if (e <= generic_max_exp) {
-          // Label-carrying algorithms are where the packed path's flat-array
-          // design pays most: the generic path keeps incident labels as one
-          // heap vector per node, so its setup makes n small allocations.
-          EngineOptions generic_opts = packed_opts;
-          generic_opts.force_generic = true;
-          Timer generic_timer;
-          const auto generic = sinkless_local(sink_in, 1 << 14, generic_opts);
-          const double generic_seconds = generic_timer.seconds();
-          CKP_CHECK_MSG(generic.orient == sink.orient &&
-                            generic.rounds == sink.rounds,
-                        "packed and generic sinkless disagree at n=" << n);
-          srec.metric("speedup_vs_generic", generic_seconds / sink_seconds);
-        }
         reporter.add(std::move(srec));
       }
 
@@ -391,7 +351,7 @@ int main(int argc, char** argv) {
         tin.seed = in.seed;
         before = shared_pool_stats();
         Timer timer;
-        const auto r = delta_coloring_thm10_local(tin, 1 << 20, packed_opts);
+        const auto r = delta_coloring_thm10_local(tin, 1 << 20, rand_opts);
         const double seconds = timer.seconds();
         CKP_CHECK(r.completed);
         CKP_CHECK(verify_coloring(tree, r.colors, tree_delta).ok);
@@ -414,7 +374,7 @@ int main(int argc, char** argv) {
         tin.seed = in.seed;
         before = shared_pool_stats();
         Timer timer;
-        const auto r = delta_coloring_thm11_local(tin, 1 << 20, packed_opts);
+        const auto r = delta_coloring_thm11_local(tin, 1 << 20, rand_opts);
         const double seconds = timer.seconds();
         CKP_CHECK(r.completed);
         CKP_CHECK(verify_coloring(tree, r.colors, tree_delta).ok);
@@ -482,7 +442,7 @@ int main(int argc, char** argv) {
     t.add_row({Table::cell(static_cast<std::int64_t>(n)),
                Table::cell(static_cast<double>(n) / gen_seconds / 1e6, 2),
                Table::cell(luby_node_rounds_per_sec / 1e6, 1),
-               Table::cell(luby_bytes_per_node, 1), Table::cell(speedup, 2),
+               Table::cell(luby_bytes_per_node, 1),
                Table::cell(simd_speedup, 2),
                Table::cell(simd_compact_speedup, 2),
                Table::cell(ghaffari_bytes_per_node, 1),
@@ -497,8 +457,7 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: generation and engine throughput flat in n "
                "(streaming + packed state);\nevery B/n column under its "
                "budget (greedy/mdet " << budget_bytes << ", RNG algorithms +32, "
-               "label carriers +4Δ);\npacked > 1x over generic on one core, "
-               "> 2x with >= 2 cores; simd spd >= 1 (see EXPERIMENTS.md "
+               "label carriers +4Δ);\nsimd spd >= 1 (see EXPERIMENTS.md "
                "E18).\n";
   return 0;
 }

@@ -22,10 +22,6 @@
 # CKP_SCALE_ALGOS (comma-separated, e.g. "luby,greedy") restricts the roster
 # for one-off investigations; the default gates everything.
 #
-# The generic-path comparison runs are skipped (--generic-max-exp=0): they
-# exist to measure the packed speedup, and their deliberately heavier
-# footprint would dominate the peak-RSS reading this script gates on.
-#
 #   scripts/check_scale.sh [BUILD_DIR]
 set -euo pipefail
 
@@ -56,7 +52,7 @@ trap 'rm -f "$METRICS"' EXIT
 
 echo "== bench_scale n=2^$EXP d=$D threads=$THREADS (budget ${BUDGET} B/node, RSS ceiling ${CEILING_MB} MB)"
 "$BIN" --min-exp="$EXP" --max-exp="$EXP" --d="$D" --seeds=1 \
-  --generic-max-exp=0 --assert-budget --budget-bytes="$BUDGET" \
+  --assert-budget --budget-bytes="$BUDGET" \
   --threads="$THREADS" --metrics_out="$METRICS" "${ALGO_FLAG[@]}"
 
 python3 - "$METRICS" "$CEILING_MB" <<'EOF'

@@ -67,8 +67,6 @@ constexpr std::uint64_t kT10WaitMask = 0xFF;
 constexpr int kPsiWords = 8;  // 512 colors / 64
 
 struct Thm10LocalAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };
@@ -311,8 +309,6 @@ constexpr std::uint64_t kT11RMask = 0x7FFFFFF;
 constexpr std::uint64_t kT11TokenMask = 0xFFFF;
 
 struct Thm11LocalAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

@@ -69,15 +69,13 @@ namespace {
 // identity to neighbors — NodeEnv carries only a node's *own* ID, so the
 // priority must travel in the published state), [53:48] the chosen color
 // (palette <= 64, so 6 bits and every shift below stays < 64), [63]
-// decided. Packed for the engine's fast path.
+// decided.
 constexpr std::uint64_t kGcIdMask = (1ULL << 48) - 1;
 constexpr int kGcColorShift = 48;
 constexpr std::uint64_t kGcColorMask = 0x3F;
 constexpr std::uint64_t kGcDecidedBit = 1ULL << 63;
 
 struct GreedyColorAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

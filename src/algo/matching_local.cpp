@@ -35,7 +35,6 @@ constexpr std::uint64_t kMrLabelMask = (1ULL << 26) - 1;
 constexpr std::uint64_t kMrIterMask = (1ULL << 20) - 1;
 
 struct MatchRandAlgo {
-  static constexpr bool packed_state = true;
   // Draws are stateless hashes of (seed, edge label, iteration); no
   // per-node private streams needed.
   static constexpr bool needs_rng = false;
@@ -122,8 +121,6 @@ constexpr std::uint64_t kMdRetired = 2;
 constexpr std::uint64_t kMdValidBit = 1ULL << 58;
 
 struct MatchDetAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

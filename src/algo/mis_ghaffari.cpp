@@ -43,8 +43,6 @@ constexpr std::uint64_t kGhMaxDesireExp = 40;
 constexpr std::uint64_t kGhEffThreshold = 1ULL << 32;  // 2.0 in 2^31 fixed pt
 
 struct GhaffariLocalAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

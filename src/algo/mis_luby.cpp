@@ -22,11 +22,6 @@ constexpr std::uint64_t kInMis = 1;
 constexpr std::uint64_t kRetired = 2;
 
 struct LubyAlgo {
-  // Trivially-copyable POD state: selects the engine's packed fast path
-  // (flat state buffers, no cached environments or neighbor-pointer tables;
-  // see local/engine.hpp).
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

@@ -154,8 +154,6 @@ constexpr std::uint64_t kPoDecidedBit = 1ULL << 6;
 constexpr std::uint64_t kPoTryingBit = 1ULL << 7;
 
 struct PlusOneLocalAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

@@ -29,8 +29,6 @@ std::uint64_t color_of(std::uint64_t w) {
 }
 
 struct SinklessAlgo {
-  static constexpr bool packed_state = true;
-
   struct State {
     std::uint64_t word = 0;
   };

@@ -328,7 +328,6 @@ class Thm11Algo final : public Algorithm {
 // at round r always yields the same digest — which is what lets the
 // cancellation tests assert consistent (untorn) partial states.
 struct SpinNode {
-  static constexpr bool packed_state = true;
   static constexpr bool needs_rng = false;
 
   struct State {
@@ -401,6 +400,8 @@ BuiltGraph build_graph(const GraphSpec& spec) {
       spec.n <= static_cast<std::uint64_t>(
                     std::numeric_limits<NodeId>::max()),
       "graph spec n=" << spec.n << " exceeds the node-id range");
+  CKP_CHECK_MSG(spec.d >= 0, "graph spec needs d >= 0 (0 = family default), "
+                             "got d=" << spec.d);
   const auto n = static_cast<NodeId>(spec.n);
   BuiltGraph out;
   if (spec.family == "bipartite_regular") {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -48,6 +49,16 @@ std::int64_t int_field(const JsonValue& doc, const std::string& name,
   CKP_CHECK_MSG(num == std::floor(num) && std::abs(num) <= 1e15,
                 "field " << name << " is not an integer");
   return static_cast<std::int64_t>(num);
+}
+
+// int_field for int-typed fields: out-of-range values are rejected, not
+// truncated, so "max_rounds":4294967301 cannot run with a cap of 5.
+int narrow_int_field(const JsonValue& doc, const std::string& name, int def) {
+  const std::int64_t num = int_field(doc, name, def);
+  CKP_CHECK_MSG(num >= std::numeric_limits<int>::min() &&
+                    num <= std::numeric_limits<int>::max(),
+                "field " << name << " is out of range for int: " << num);
+  return static_cast<int>(num);
 }
 
 bool bool_field(const JsonValue& doc, const std::string& name, bool def) {
@@ -168,11 +179,11 @@ bool JobServer::handle_line(const std::string& line, std::uint64_t client) {
 void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
   std::string id;
   try {
-    check_members(doc, {"op", "id", "algo", "graph", "seed", "max_rounds",
-                        "params", "deadline_ms", "step_limit",
-                        "force_generic", "no_memo"});
+    // The id first, so every later rejection is routed to its job.
     id = doc.at("id").as_string();
     CKP_CHECK_MSG(!id.empty(), "job id must be non-empty");
+    check_members(doc, {"op", "id", "algo", "graph", "seed", "max_rounds",
+                        "params", "deadline_ms", "step_limit", "no_memo"});
 
     auto job = std::make_unique<Job>();
     job->id = id;
@@ -183,15 +194,13 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
     check_members(graph, {"family", "n", "d", "gseed"});
     job->graph.family = graph.at("family").as_string();
     job->graph.n = static_cast<std::uint64_t>(int_field(graph, "n", 0));
-    job->graph.d = static_cast<int>(int_field(graph, "d", 0));
+    job->graph.d = narrow_int_field(graph, "d", 0);
     job->graph.seed =
         static_cast<std::uint64_t>(int_field(graph, "gseed", 0));
 
     job->seed = static_cast<std::uint64_t>(int_field(doc, "seed", 1));
-    job->max_rounds =
-        static_cast<int>(int_field(doc, "max_rounds", 1 << 20));
+    job->max_rounds = narrow_int_field(doc, "max_rounds", 1 << 20);
     CKP_CHECK_MSG(job->max_rounds >= 1, "max_rounds must be >= 1");
-    job->force_generic = bool_field(doc, "force_generic", false);
     job->no_memo = bool_field(doc, "no_memo", false);
 
     if (const JsonValue* params = doc.find("params")) {
@@ -222,7 +231,6 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
     job->facts.graph = job->graph;
     job->facts.seed = job->seed;
     job->facts.max_rounds = job->max_rounds;
-    job->facts.force_generic = job->force_generic;
 
     // Memo fast path: a prior completed run with the same semantic identity
     // answers at admission time — zero queueing, zero engine rounds, the
@@ -323,7 +331,6 @@ void JobServer::execute(Job& job) {
     const LocalInput input = prepare_input(*job.algo, built, job.seed);
     EngineOptions eopts;
     eopts.threads = opts_.engine_threads;
-    eopts.force_generic = job.force_generic;
     eopts.budget = job.budget.get();
     const AlgoRun run =
         job.algo->run(input, job.max_rounds, eopts, job.params);

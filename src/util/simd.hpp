@@ -1,6 +1,6 @@
 // SIMD kernels for the engine's flat-state hot loops.
 //
-// The packed engine path (local/engine.hpp) spends its steady state in three
+// The engine round loop (local/engine.hpp) spends its steady state in three
 // data-parallel loops that do no algorithm work at all: assembling the
 // per-chunk neighbor scratch row (index -> pointer into the flat state
 // array), compacting the per-chunk halt slab out of the round's done flags,
