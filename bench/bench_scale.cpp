@@ -6,7 +6,7 @@
 // One block per n = 2^e:
 //
 //   generate_streamed   in-place union-of-matchings CSR generation
-//                       (make_random_bipartite_regular_streamed), nodes/sec
+//                       (make_random_bipartite_regular), nodes/sec
 //   mis_luby_packed     RandLOCAL Luby, work-stealing schedule;
 //                       node·rounds/sec and engine bytes/node. Also run
 //                       with EngineOptions::simd off — outputs are checked
@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> algos = flags.get_list("algo", roster);
   BenchReporter reporter(flags, "E18_scale");
   const int threads = reporter.threads();
-  const NodeId shard_nodes = flags.get_shard_nodes(threads);
   flags.check_unknown();
   CKP_CHECK_MSG(d >= 2 && d + 1 <= 64,
                 "--d must be in [2, 63] (sinkless needs degree >= 2, greedy "
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
 
   std::cout << "E18: engine scale-up — streamed generation + packed rounds\n"
             << "Δ=" << d << "-regular bipartite, threads=" << threads
-            << ", shard_nodes=" << shard_nodes
             << ", simd=" << simd::kBackendName << "\n\n";
   Table t({"n", "gen Mn/s", "luby Mn·r/s", "luby B/n", "simd spd",
            "cmp spd", "ghaf B/n", "mrand B/n", "mdet B/n", "p1 B/n",
@@ -122,8 +120,8 @@ int main(int argc, char** argv) {
 
     ThreadPoolStats before = shared_pool_stats();
     Timer gen_timer;
-    const EdgeColoredGraph ecg = make_random_bipartite_regular_streamed(
-        side, d, gen_rng, shard_nodes, threads);
+    const EdgeColoredGraph ecg =
+        make_random_bipartite_regular(side, d, gen_rng, threads);
     const double gen_seconds = gen_timer.seconds();
     const Graph& g = ecg.graph;
     // from_regular_csr fully validates the CSR; re-checking the coloring is
@@ -142,7 +140,6 @@ int main(int argc, char** argv) {
       rec.wall_seconds = gen_seconds;
       rec.verified = gen_verified;
       rec.metric("nodes_per_sec", static_cast<double>(n) / gen_seconds);
-      rec.metric("shard_nodes", static_cast<double>(shard_nodes));
       add_resource_run_metrics(rec, before);
       reporter.add(std::move(rec));
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -81,71 +80,6 @@ Graph make_random_regular(NodeId n, int d, Rng& rng) {
   return Graph::from_edges(n, edges);
 }
 
-EdgeColoredGraph make_random_bipartite_regular(NodeId side, int d, Rng& rng) {
-  CKP_CHECK(side >= 1);
-  CKP_CHECK(d >= 1 && d <= side);
-  // Left nodes are [0, side), right nodes [side, 2*side). Color c pairs
-  // left node i with right node perm_c[i]. A fresh random permutation
-  // collides with the earlier matchings ~c times in expectation, so instead
-  // of restarting we repair each matching by transpositions: swapping
-  // perm[i] with a random partner is degree-preserving and quickly clears
-  // the few collisions.
-  GraphBuilder b(2 * side);
-  std::vector<std::pair<NodeId, NodeId>> colored_edges;
-  std::vector<int> colors;
-  std::vector<NodeId> perm(static_cast<std::size_t>(side));
-  for (int c = 0; c < d; ++c) {
-    std::iota(perm.begin(), perm.end(), 0);
-    for (std::size_t i = perm.size() - 1; i > 0; --i) {
-      const std::size_t j = static_cast<std::size_t>(rng.next_below(i + 1));
-      std::swap(perm[i], perm[j]);
-    }
-    auto taken = [&](NodeId i) {
-      return b.has_edge(i, side + perm[static_cast<std::size_t>(i)]);
-    };
-    std::size_t guard = 0;
-    const std::size_t max_guard =
-        1000 * static_cast<std::size_t>(side) + 100000;
-    for (bool any = true; any;) {
-      any = false;
-      for (NodeId i = 0; i < side; ++i) {
-        if (!taken(i)) continue;
-        any = true;
-        CKP_CHECK_MSG(++guard < max_guard,
-                      "matching repair did not converge");
-        const auto j = static_cast<NodeId>(
-            rng.next_below(static_cast<std::uint64_t>(side)));
-        if (j == i) continue;
-        // Accept the transposition only if it creates no new collision.
-        std::swap(perm[static_cast<std::size_t>(i)],
-                  perm[static_cast<std::size_t>(j)]);
-        if (taken(i) || taken(j)) {
-          std::swap(perm[static_cast<std::size_t>(i)],
-                    perm[static_cast<std::size_t>(j)]);
-        }
-      }
-    }
-    for (NodeId i = 0; i < side; ++i) {
-      const NodeId v = side + perm[static_cast<std::size_t>(i)];
-      CKP_CHECK(b.add_edge(i, v));
-      colored_edges.emplace_back(i, v);
-      colors.push_back(c);
-    }
-  }
-  EdgeColoredGraph out;
-  out.graph = b.build();
-  out.num_colors = d;
-  out.edge_color.assign(static_cast<std::size_t>(out.graph.num_edges()), -1);
-  for (std::size_t i = 0; i < colored_edges.size(); ++i) {
-    const EdgeId e =
-        out.graph.edge_between(colored_edges[i].first, colored_edges[i].second);
-    CKP_CHECK(e != kInvalidEdge);
-    out.edge_color[static_cast<std::size_t>(e)] = colors[i];
-  }
-  CKP_CHECK(is_proper_edge_coloring(out.graph, out.edge_color, d));
-  return out;
-}
-
 namespace {
 
 // Runs `body(chunk_begin, chunk_end, chunk)` over `chunks` deterministic
@@ -166,15 +100,16 @@ void for_each_shard(std::int64_t begin, std::int64_t end, int chunks,
   }
 }
 
+// CSR rows per work unit of the RNG-free finalize and sort passes. The
+// output does not depend on it; it only sets the parallel grain.
+constexpr std::int64_t kShardNodes = 1 << 20;
+
 }  // namespace
 
-EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
-                                                        Rng& rng,
-                                                        NodeId shard_nodes,
-                                                        int threads) {
+EdgeColoredGraph make_random_bipartite_regular(NodeId side, int d, Rng& rng,
+                                               int threads) {
   CKP_CHECK(side >= 1);
   CKP_CHECK(d >= 1 && d <= side);
-  CKP_CHECK_MSG(shard_nodes >= 1, "shard_nodes must be >= 1");
   CKP_CHECK_MSG(side <= (std::numeric_limits<NodeId>::max() - 1) / 2,
                 "2*side overflows NodeId");
   const auto m = static_cast<std::size_t>(side) * static_cast<std::size_t>(d);
@@ -205,9 +140,11 @@ EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
       const auto j = static_cast<NodeId>(rng.next_below(i + 1));
       std::swap(slot(static_cast<NodeId>(i), c), slot(j, c));
     }
-    // Collision repair, as in make_random_bipartite_regular but with the
-    // builder's hash probe replaced by a scan of the <= d-1 finished color
-    // slots of the row — O(d) per probe, no auxiliary memory.
+    // Collision repair by transpositions: a fresh permutation collides with
+    // the earlier matchings ~c times in expectation, and swapping slot i
+    // with a random partner is degree-preserving and quickly clears them.
+    // Membership is a scan of the <= d-1 finished color slots of the row —
+    // O(d) per probe, no auxiliary memory.
     auto taken = [&](NodeId i) {
       const NodeId want = side + slot(i, c);
       for (int cc = 0; cc < c; ++cc) {
@@ -237,7 +174,7 @@ EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
     // independent — the permutation is a bijection, so every write lands in
     // a distinct slot — and consume no randomness.
     const int shards = static_cast<int>(
-        (static_cast<std::int64_t>(side) + shard_nodes - 1) / shard_nodes);
+        (static_cast<std::int64_t>(side) + kShardNodes - 1) / kShardNodes);
     for_each_shard(
         0, side, shards, threads,
         [&](std::int64_t lo, std::int64_t hi, int) {
@@ -259,11 +196,11 @@ EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
   }
 
   // Sort every row by neighbor id (incident stays aligned). Blocked by
-  // shard_nodes rows; the per-shard scratch of d pairs is the only working
+  // kShardNodes rows; the per-shard scratch of d pairs is the only working
   // memory.
   {
     const int shards = static_cast<int>(
-        (static_cast<std::int64_t>(n) + shard_nodes - 1) / shard_nodes);
+        (static_cast<std::int64_t>(n) + kShardNodes - 1) / kShardNodes);
     for_each_shard(
         0, n, shards, threads, [&](std::int64_t lo, std::int64_t hi, int) {
           std::vector<std::pair<NodeId, EdgeId>> seg(stride);

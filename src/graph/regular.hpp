@@ -29,29 +29,24 @@ struct EdgeColoredGraph {
 Graph make_random_regular(NodeId n, int d, Rng& rng);
 
 // Random d-regular bipartite simple graph on 2*side nodes (left: [0, side)),
-// as the union of d random perfect matchings; matching index = edge color.
-// Requires d <= side.
-EdgeColoredGraph make_random_bipartite_regular(NodeId side, int d, Rng& rng);
-
-// Same distribution family as make_random_bipartite_regular, engineered for
-// 10^7–10^8-node instances: each matching is generated *in place* in the
-// final CSR adjacency array (color c's permutation lives in the strided
-// slots adjacency[i*d + c]), so there are no intermediate edge vectors, no
-// builder hash sets, and no O(m) temporaries — peak memory is the final
-// graph plus O(shard_nodes) per worker. Collision repair tests membership
-// by scanning the <= d-1 earlier color slots of a row instead of a hash
-// set. The RNG-consuming phase is sequential; the finalize/sort passes run
-// blocked by `shard_nodes` CSR rows across `threads` workers (0 = the
-// --threads default). The result is a deterministic function of (side, d,
-// rng state) alone — bit-identical for every shard_nodes and threads value.
-// Requires d <= side and shard_nodes >= 1.
-// Degrees near `side` (dense bipartite graphs) push the per-color collision
-// repair toward Latin-square completion, where random re-probing may not
-// converge; keep d well below side (the scale bench sweeps d <= 16).
-EdgeColoredGraph make_random_bipartite_regular_streamed(NodeId side, int d,
-                                                        Rng& rng,
-                                                        NodeId shard_nodes,
-                                                        int threads = 0);
+// as the union of d random perfect matchings; matching index = edge color,
+// and edge c*side + i joins left node i with its color-c partner. Each
+// matching is generated *in place* in the final CSR adjacency array (color
+// c's permutation lives in the strided slots adjacency[i*d + c]), so there
+// are no intermediate edge vectors, no hash sets and no O(m) temporaries:
+// peak memory is the final graph. Collisions with earlier matchings are
+// repaired by random transpositions, testing membership by scanning the
+// <= d-1 earlier color slots of a row. The RNG-consuming phase is
+// sequential; the RNG-free finalize and sort passes run across `threads`
+// workers (0 = the --threads default). The result and the Rng state it
+// leaves are a deterministic function of (side, d, rng state) alone —
+// bit-identical for every thread count.
+// Requires d <= side. Degrees near `side` (dense bipartite graphs) push the
+// per-color collision repair toward Latin-square completion, where random
+// re-probing may not converge; keep d well below side (the scale bench
+// sweeps d <= 16).
+EdgeColoredGraph make_random_bipartite_regular(NodeId side, int d, Rng& rng,
+                                               int threads = 0);
 
 // Deterministic 3-regular high-girth-ish test fixture: the prism/Moebius
 // ladder on 2k nodes (cycle of length 2k plus diagonals). Girth is small

@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
-#include <limits>
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -110,27 +108,6 @@ int Flags::get_threads(int def) {
   CKP_CHECK_MSG(out >= 1 && out <= 1 << 16,
                 "flag --threads is not a positive thread count: " << *v);
   return static_cast<int>(out);
-}
-
-std::int32_t Flags::get_shard_nodes(int threads, std::int32_t def) {
-  const auto v = raw("shard_nodes");
-  std::int64_t out = def;
-  if (v) {
-    out = parse_int_value("shard_nodes", *v);
-    CKP_CHECK_MSG(out >= 1,
-                  "flag --shard_nodes must be a positive node count, got "
-                      << *v);
-    CKP_CHECK_MSG(out <= std::numeric_limits<std::int32_t>::max(),
-                  "flag --shard_nodes is out of range for a node count: "
-                      << *v);
-  }
-  if (out < threads) {
-    std::cerr << "warning: --shard_nodes=" << out << " is below --threads="
-              << threads
-              << "; shards smaller than the worker count only add dispatch "
-                 "overhead\n";
-  }
-  return static_cast<std::int32_t>(out);
 }
 
 std::vector<std::string> Flags::split_list(const std::string& name,

@@ -32,17 +32,10 @@ class Flags {
   // `def`. Always >= 1.
   int get_threads(int def = 1);
 
-  // The streaming-generation shard size (CSR rows per work unit):
-  // --shard_nodes if given, else `def`. Rejects zero, negative, and
-  // beyond-int32 values with a CheckFailure (same full-token validation as
-  // get_int); warns to stderr when the shard is smaller than `threads`,
-  // which fragments the row ranges below the worker count for no benefit.
-  std::int32_t get_shard_nodes(int threads, std::int32_t def = 1 << 20);
-
   // Comma-separated selection flag (e.g. --algo=luby,greedy): absent means
   // "all of `allowed`"; when given, every item must be a member of `allowed`
   // — empty items and unknown names fail loudly with the valid set in the
-  // message (same fail-on-typo stance as get_shard_nodes). Order and
+  // message (same fail-on-typo stance as check_unknown). Order and
   // duplicates are preserved as written.
   std::vector<std::string> get_list(const std::string& name,
                                     const std::vector<std::string>& allowed);
