@@ -23,11 +23,6 @@ bool GraphBuilder::add_edge(NodeId u, NodeId v) {
   return true;
 }
 
-bool GraphBuilder::has_edge(NodeId u, NodeId v) const {
-  if (u == v) return false;
-  return seen_.contains(key(u, v));
-}
-
 Graph GraphBuilder::build() const { return Graph::from_edges(n_, edges_); }
 
 }  // namespace ckp

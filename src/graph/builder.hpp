@@ -23,8 +23,6 @@ class GraphBuilder {
   // Self-loops are rejected with CheckFailure.
   bool add_edge(NodeId u, NodeId v);
 
-  bool has_edge(NodeId u, NodeId v) const;
-
   std::size_t num_edges() const { return edges_.size(); }
 
   // Finalizes into a Graph. The builder may be reused afterwards.

@@ -84,41 +84,6 @@ Graph make_er(NodeId n, double p, Rng& rng) {
   return b.build();
 }
 
-Graph make_er_m(NodeId n, std::size_t m, Rng& rng) {
-  CKP_CHECK(n >= 2);
-  const std::size_t max_edges =
-      static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2;
-  CKP_CHECK_MSG(m <= max_edges, "too many edges requested");
-  GraphBuilder b(n);
-  while (b.num_edges() < m) {
-    const auto u = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    const auto v = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    if (u != v) b.add_edge(u, v);
-  }
-  return b.build();
-}
-
-Graph make_random_capped(NodeId n, int cap, std::size_t attempts, Rng& rng) {
-  CKP_CHECK(n >= 2);
-  CKP_CHECK(cap >= 1);
-  GraphBuilder b(n);
-  std::vector<int> deg(static_cast<std::size_t>(n), 0);
-  for (std::size_t i = 0; i < attempts; ++i) {
-    const auto u = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    const auto v = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    if (u == v) continue;
-    if (deg[static_cast<std::size_t>(u)] >= cap ||
-        deg[static_cast<std::size_t>(v)] >= cap) {
-      continue;
-    }
-    if (b.add_edge(u, v)) {
-      ++deg[static_cast<std::size_t>(u)];
-      ++deg[static_cast<std::size_t>(v)];
-    }
-  }
-  return b.build();
-}
-
 Graph make_margulis(NodeId m) {
   CKP_CHECK(m >= 2);
   const NodeId n = m * m;

@@ -35,14 +35,6 @@ Graph make_hypercube(int d);
 // Erdős–Rényi G(n, p): each pair independently an edge with probability p.
 Graph make_er(NodeId n, double p, Rng& rng);
 
-// Erdős–Rényi-style random graph with exactly m distinct edges.
-Graph make_er_m(NodeId n, std::size_t m, Rng& rng);
-
-// Random graph with max degree capped at `cap`: samples candidate edges and
-// keeps those not violating the cap, until `attempts` candidates have been
-// tried. Produces graphs with Δ <= cap.
-Graph make_random_capped(NodeId n, int cap, std::size_t attempts, Rng& rng);
-
 // The Margulis expander on the torus Z_m × Z_m: every (x, y) connects to
 // (x±y, y), (x±y+1, y), (x, y±x), (x, y±x+1) (mod m) — an explicit
 // constant-degree expander family (degree <= 8; parallel edges collapse, so

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/components.hpp"
-#include "graph/edge_coloring.hpp"
 #include "graph/generators.hpp"
 #include "graph/girth.hpp"
 #include "graph/power.hpp"
@@ -133,30 +132,6 @@ TEST(PowerGraph, DistancePreservation) {
   const Graph g3 = power_graph(g, 3);
   EXPECT_TRUE(g3.has_edge(0, 3));
   EXPECT_FALSE(g3.has_edge(0, 4));
-}
-
-TEST(TreeEdgeColoring, ProperWithDeltaColors) {
-  for (const auto& [name, g] : testing::tree_zoo()) {
-    if (g.num_edges() == 0) continue;
-    const auto colors = tree_edge_coloring(g);
-    EXPECT_TRUE(is_proper_edge_coloring(g, colors, std::max(1, g.max_degree())))
-        << name;
-    EXPECT_LE(count_edge_colors(colors), g.max_degree()) << name;
-  }
-}
-
-TEST(TreeEdgeColoring, RejectsNonTree) {
-  EXPECT_THROW(tree_edge_coloring(make_cycle(4)), CheckFailure);
-}
-
-TEST(GreedyEdgeColoring, WithinTwoDeltaMinusOne) {
-  for (const auto& [name, g] : testing::small_graph_zoo()) {
-    if (g.num_edges() == 0) continue;
-    const auto colors = greedy_edge_coloring(g);
-    const int used = count_edge_colors(colors);
-    EXPECT_TRUE(is_proper_edge_coloring(g, colors, used)) << name;
-    EXPECT_LE(used, 2 * g.max_degree() - 1) << name;
-  }
 }
 
 }  // namespace

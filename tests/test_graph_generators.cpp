@@ -75,22 +75,6 @@ TEST(ErdosRenyi, EdgeCountConcentrates) {
   EXPECT_EQ(full.num_edges(), 45);
 }
 
-TEST(ErdosRenyiM, ExactEdgeCount) {
-  Rng rng(37);
-  const Graph g = make_er_m(50, 100, rng);
-  EXPECT_EQ(g.num_edges(), 100);
-  EXPECT_THROW(make_er_m(4, 7, rng), CheckFailure);
-}
-
-TEST(RandomCapped, RespectsCap) {
-  Rng rng(41);
-  for (int cap : {1, 2, 3, 5, 8}) {
-    const Graph g = make_random_capped(100, cap, 5000, rng);
-    EXPECT_LE(g.max_degree(), cap) << "cap=" << cap;
-    EXPECT_GT(g.num_edges(), 0);
-  }
-}
-
 class GeneratorDeterminism
     : public ::testing::TestWithParam<std::uint64_t> {};
 
