@@ -394,7 +394,17 @@ const std::vector<std::string>& graph_family_roster() {
   return kFamilies;
 }
 
-BuiltGraph build_graph(const GraphSpec& spec) {
+GraphSpec resolve_graph_defaults(GraphSpec spec) {
+  if (spec.d == 0 &&
+      (spec.family == "bipartite_regular" ||
+       spec.family == "random_regular" || spec.family == "complete_tree")) {
+    spec.d = 3;
+  }
+  return spec;
+}
+
+BuiltGraph build_graph(const GraphSpec& requested) {
+  const GraphSpec spec = resolve_graph_defaults(requested);
   CKP_CHECK_MSG(spec.n > 0, "graph spec needs n > 0");
   CKP_CHECK_MSG(
       spec.n <= static_cast<std::uint64_t>(
@@ -408,17 +418,15 @@ BuiltGraph build_graph(const GraphSpec& spec) {
     CKP_CHECK_MSG(spec.n % 2 == 0,
                   "bipartite_regular needs even n (n = both sides), got "
                       << spec.n);
-    const int d = spec.d > 0 ? spec.d : 3;
     Rng rng(mix_seed(spec.seed));
     EdgeColoredGraph colored =
-        make_random_bipartite_regular(n / 2, d, rng);
+        make_random_bipartite_regular(n / 2, spec.d, rng);
     out.graph = std::move(colored.graph);
     out.edge_labels = std::move(colored.edge_color);
     out.num_labels = colored.num_colors;
   } else if (spec.family == "random_regular") {
-    const int d = spec.d > 0 ? spec.d : 3;
     Rng rng(mix_seed(spec.seed));
-    out.graph = make_random_regular(n, d, rng);
+    out.graph = make_random_regular(n, spec.d, rng);
   } else if (spec.family == "cycle") {
     CKP_CHECK_MSG(spec.d == 0, "cycle has no degree parameter, got d="
                                    << spec.d);
@@ -428,8 +436,7 @@ BuiltGraph build_graph(const GraphSpec& spec) {
                                    << spec.d);
     out.graph = make_path(n);
   } else if (spec.family == "complete_tree") {
-    const int delta = spec.d > 0 ? spec.d : 3;
-    out.graph = make_complete_tree(n, delta);
+    out.graph = make_complete_tree(n, spec.d);
   } else {
     CKP_CHECK_MSG(false, "unknown graph family \"" << spec.family
                                                    << "\"; valid: "

@@ -38,6 +38,7 @@ struct GraphSpec {
   std::string family;      // see graph_family_roster()
   std::uint64_t n = 0;     // node count (total, both sides for bipartite)
   int d = 0;               // degree / branching parameter; 0 = family default
+                           // (see resolve_graph_defaults)
   std::uint64_t seed = 0;  // generation seed for the random families
 
 
@@ -54,8 +55,16 @@ struct BuiltGraph {
   int num_labels = 0;
 };
 
-// Materializes `spec` deterministically (same spec → bit-identical graph).
-// Throws CheckFailure on unknown families or invalid parameters.
+// `spec` with d = 0 replaced by its family's default degree: 3 for
+// bipartite_regular, random_regular and complete_tree. Cycle and path have
+// no degree and keep d = 0; other values pass through for build_graph to
+// validate. Idempotent. The server applies it before the spec keys the memo
+// or fills a record, so omitting d and naming the default are one job.
+GraphSpec resolve_graph_defaults(GraphSpec spec);
+
+// Materializes `spec` (after resolve_graph_defaults) deterministically: the
+// same spec builds a bit-identical graph. Throws CheckFailure on unknown
+// families or invalid parameters.
 BuiltGraph build_graph(const GraphSpec& spec);
 const std::vector<std::string>& graph_family_roster();
 

@@ -197,6 +197,7 @@ void JobServer::admit(const JsonValue& doc, std::uint64_t client) {
     job->graph.d = narrow_int_field(graph, "d", 0);
     job->graph.seed =
         static_cast<std::uint64_t>(int_field(graph, "gseed", 0));
+    job->graph = resolve_graph_defaults(job->graph);
 
     job->seed = static_cast<std::uint64_t>(int_field(doc, "seed", 1));
     job->max_rounds = narrow_int_field(doc, "max_rounds", 1 << 20);
