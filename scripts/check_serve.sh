@@ -4,12 +4,14 @@
 # tests can only approximate in-process:
 #
 #   1. mixed batch — ≥3 distinct algorithms complete concurrently on the
-#      shared pool, plus one deadline-exceeding spin job that must be
+#      worker slots, plus one deadline-exceeding spin job that must be
 #      cancelled at a round barrier (cancelled=true, stop=deadline).
-#   2. crash safety — SIGKILL the server mid-batch, restart it on the same
+#   2. no head-of-line blocking — with two worker slots, small jobs sent
+#      while a long job runs all finish before it does.
+#   3. crash safety — SIGKILL the server mid-batch, restart it on the same
 #      store; the store is uncorrupted (every artifact either absent or
 #      well-formed) and the rerun completes normally.
-#   3. memo replay — resubmitting the completed jobs to a fresh server on
+#   4. memo replay — resubmitting the completed jobs to a fresh server on
 #      the same store is served entirely from the memo: every response says
 #      memo:"hit", serve.engine_rounds_total stays 0, and the replayed
 #      RunRecord lines are byte-identical to the first run's.
@@ -39,7 +41,7 @@ COMPLETING_JOBS='{"op":"run","id":"m1","algo":"luby","graph":{"family":"random_r
 {"op":"run","id":"m2","algo":"greedy","graph":{"family":"cycle","n":4096},"seed":1}
 {"op":"run","id":"m3","algo":"plus_one","graph":{"family":"complete_tree","n":1093,"d":3},"seed":5}'
 
-echo "== 1/5 mixed batch with a deadline-exceeding job"
+echo "== 1/6 mixed batch with a deadline-exceeding job"
 {
   echo "$COMPLETING_JOBS"
   # spin never halts; only the 150ms deadline ends it — at a round barrier.
@@ -68,7 +70,35 @@ print(f"   4/4 jobs terminal; deadline job stopped at round "
       f"{dl['record']['rounds']}")
 EOF
 
-echo "== 2/5 SIGKILL mid-batch, restart on the same store"
+echo "== 2/6 small jobs finish beside a long one"
+# spin runs on one slot until its 3 s deadline; the small jobs sent 0.3 s
+# later must each take the free slot and finish first, not queue behind it.
+{
+  echo '{"op":"run","id":"long","algo":"spin","graph":{"family":"cycle","n":512},"max_rounds":1048576,"deadline_ms":3000}'
+  sleep 0.3
+  echo '{"op":"run","id":"s1","algo":"luby","graph":{"family":"cycle","n":512},"seed":1}'
+  echo '{"op":"run","id":"s2","algo":"greedy","graph":{"family":"cycle","n":512},"seed":2}'
+  echo '{"op":"run","id":"s3","algo":"plus_one","graph":{"family":"complete_tree","n":1093,"d":3},"seed":3}'
+  echo '{"op":"shutdown"}'
+} | "$SERVE" --workers=2 >"$WORK/beside.out"
+python3 - "$WORK/beside.out" <<'EOF'
+import json, sys
+order, done = [], {}
+for line in open(sys.argv[1]):
+    doc = json.loads(line)
+    if doc.get("done"):
+        order.append(doc["id"])
+        done[doc["id"]] = doc
+assert order[-1] == "long" and sorted(order[:-1]) == ["s1", "s2", "s3"], order
+for jid in ("s1", "s2", "s3"):
+    d = done[jid]
+    assert d["stop"] == "none" and d["record"]["verified"], (jid, d)
+assert done["long"]["stop"] == "deadline", done["long"]
+print(f"   3/3 small jobs done before the long job; it stopped at round "
+      f"{done['long']['record']['rounds']} on its deadline")
+EOF
+
+echo "== 3/6 SIGKILL mid-batch, restart on the same store"
 # Long-ish jobs so the kill lands mid-run; managed by PID (never pkill — a
 # pattern match can catch the invoking shell itself).
 {
@@ -100,7 +130,7 @@ for jid, d in done.items():
 print("   restart on killed store: 3/3 jobs verified, store readable")
 EOF
 
-echo "== 3/5 memo replay: byte-identical records, zero engine rounds"
+echo "== 4/6 memo replay: byte-identical records, zero engine rounds"
 {
   echo "$COMPLETING_JOBS"
   echo '{"op":"stats"}'
@@ -125,11 +155,11 @@ second, stats = records(sys.argv[2])
 for jid in ("m1", "m2", "m3"):
     assert second[jid][0] == "hit", (jid, second[jid][0])
     assert first[jid][1] == second[jid][1], f"{jid}: record bytes differ"
-assert stats.get("serve.engine_rounds_total", 0) == 0, stats
+assert stats["counters"].get("serve.engine_rounds_total", 0) == 0, stats
 print("   3/3 memo hits, records byte-identical, engine_rounds_total=0")
 EOF
 
-echo "== 4/5 socket mode through ckp_serve_client"
+echo "== 5/6 socket mode through ckp_serve_client"
 SOCK="$WORK/serve.sock"
 "$SERVE" --workers=2 --store_dir="$WORK/store" --socket="$SOCK" \
   >"$WORK/sock_server.out" 2>&1 &
@@ -145,7 +175,7 @@ echo '{"op":"shutdown"}' | "$CLIENT" --socket="$SOCK" --quiet
 wait "$SRV"
 echo "   client batch served over AF_UNIX; clean shutdown"
 
-echo "== 5/5 two concurrent clients, one shared server"
+echo "== 6/6 two concurrent clients, one shared server"
 SOCK="$WORK/multi.sock"
 "$SERVE" --workers=4 --store_dir="$WORK/multi_store" --socket="$SOCK" \
   >"$WORK/multi_server.out" 2>&1 &

@@ -2,11 +2,13 @@
 //
 // JobServer turns the repo's run-one-algorithm machinery into a service:
 // requests arrive as single-line JSON (from a stdin pipe or the Unix socket
-// in tools/ckp_serve.cpp), are validated and admitted into a bounded queue
-// on the transport thread, and a dispatcher thread fans each batch out
-// across the shared ThreadPool via work-stealing (one job per chunk, so
-// stragglers never idle the pool). Responses stream back through a caller-
-// supplied sink, one line per event, in completion order.
+// in tools/ckp_serve.cpp), are validated and admitted into a bounded FIFO
+// queue on the transport thread, and `workers` server-owned worker slots
+// each pop the oldest queued job, run it, and come back for the next. A
+// slot never waits for another slot's job, so a burst of small jobs runs
+// on a free slot beside a long one instead of queueing behind it.
+// Responses stream back through a caller-supplied sink, one line per
+// event, in completion order.
 //
 // Protocol (one JSON object per line; unknown fields are an error):
 //
@@ -38,7 +40,7 @@
 // admission/response path, so per-client request order is preserved and
 // cross-client requests interleave at line granularity. Every response
 // carries the client tag of the request that caused it, and the sink —
-// invoked under an internal mutex from transport threads and pool workers —
+// invoked under an internal mutex from transport threads and worker slots —
 // routes each line back to that client (the single-transport Sink overload
 // ignores the tag). MetricsRegistry is not thread-safe and is only touched
 // under mu_.
@@ -54,6 +56,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -65,10 +68,11 @@
 namespace ckp {
 
 struct ServerOptions {
-  // Max jobs executing concurrently (pool workers). 1 runs jobs inline on
-  // the dispatcher thread, which is the only mode where engine_threads > 1
-  // parallelizes rounds (inside a pool worker the engine degrades to 1
-  // thread by the no-nested-parallelism rule).
+  // Worker slots: max jobs executing concurrently. With one slot a job
+  // may fan its rounds and graph build out over the shared pool
+  // (engine_threads, CKP_THREADS). With more, every job runs
+  // single-threaded on its slot (a WorkerScope), so slots never contend
+  // for the pool.
   int workers = 2;
   // Bound on admitted-but-unfinished jobs; admissions beyond it are
   // rejected with an error response (backpressure, not buffering).
@@ -76,6 +80,8 @@ struct ServerOptions {
   // Directory for the result memo; empty disables memoization.
   std::string store_dir;
   // EngineOptions::threads for each job's rounds (0 = engine default).
+  // Only workers == 1 uses it; with more workers a value > 1 is rejected
+  // at construction rather than silently ignored.
   int engine_threads = 0;
   // Heartbeat spacing for the serve.jobs ProgressMeter; <= 0 disables.
   double heartbeat_seconds = 0.0;
@@ -88,7 +94,7 @@ struct ServerOptions {
 class JobServer {
  public:
   // Receives each response line (no trailing newline). Called under the
-  // server's sink mutex, possibly from pool workers.
+  // server's sink mutex, possibly from worker slots.
   using Sink = std::function<void(const std::string& line)>;
   // Multi-client variant: `client` is the tag handle_line was called with
   // for the request this line answers — the transport routes it back to
@@ -98,7 +104,7 @@ class JobServer {
 
   JobServer(ServerOptions options, Sink sink);
   JobServer(ServerOptions options, TaggedSink sink);
-  // Drains admitted jobs, then stops the dispatcher.
+  // Drains admitted jobs, then stops the worker slots.
   ~JobServer();
 
   JobServer(const JobServer&) = delete;
@@ -115,7 +121,8 @@ class JobServer {
   void drain();
 
   // Counter snapshot for tests/tools ("serve.jobs_admitted",
-  // "serve.memo_hits", "serve.engine_rounds_total", ...).
+  // "serve.memo_hits", "serve.engine_rounds_total", ...). The per-job
+  // serve.queue_wait_s and serve.exec_s histograms are only in op=stats.
   double counter(const std::string& name) const;
 
  private:
@@ -130,12 +137,14 @@ class JobServer {
     std::unique_ptr<RunBudget> budget;  // stable address for op=cancel
     MemoFacts facts;
     std::uint64_t client = 0;  // transport tag for response routing
+    SteadyTime admitted;       // opts_.now at admission
   };
 
   void admit(const JsonValue& doc, std::uint64_t client);
   void cancel(const JsonValue& doc, std::uint64_t client);
   void execute(Job& job);
-  void dispatch_loop();
+  void worker_loop();
+  void stop_workers();  // joins the slots once the queue is empty
   void emit(const std::string& line, std::uint64_t client);
   std::string stats_json();
 
@@ -146,17 +155,17 @@ class JobServer {
   ProgressMeter heartbeat_;
 
   mutable std::mutex mu_;  // queue, active set, metrics, lifecycle flags
-  std::condition_variable queue_cv_;  // wakes the dispatcher
+  std::condition_variable queue_cv_;  // wakes idle worker slots
   std::condition_variable idle_cv_;   // wakes drain()
   std::deque<std::unique_ptr<Job>> queue_;
   std::map<std::string, RunBudget*> active_;  // admitted, not yet terminal
   MetricsRegistry metrics_;
-  int in_flight_ = 0;     // jobs in the dispatcher's current batch
+  int in_flight_ = 0;     // jobs popped by a worker slot, not yet terminal
   bool stopping_ = false;
 
   std::mutex transport_mu_;  // serializes concurrent handle_line callers
   std::mutex sink_mu_;       // serializes sink invocations
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ckp

@@ -12,12 +12,13 @@ namespace {
 
 thread_local bool tls_in_parallel_worker = false;
 
-struct WorkerScope {
-  WorkerScope() { tls_in_parallel_worker = true; }
-  ~WorkerScope() { tls_in_parallel_worker = false; }
-};
-
 }  // namespace
+
+WorkerScope::WorkerScope() : outer_(tls_in_parallel_worker) {
+  tls_in_parallel_worker = true;
+}
+
+WorkerScope::~WorkerScope() { tls_in_parallel_worker = outer_; }
 
 bool in_parallel_worker() { return tls_in_parallel_worker; }
 

@@ -161,9 +161,28 @@ class ThreadPool {
 };
 
 // True while the current thread is executing a parallel_for chunk (worker or
-// caller). Used to forbid nested parallelism: inner parallel code degrades
-// to sequential instead of deadlocking on the shared pool.
+// caller) or holds a WorkerScope. Used to forbid nested parallelism: inner
+// parallel code degrades to sequential instead of deadlocking on the shared
+// pool.
 bool in_parallel_worker();
+
+// Makes in_parallel_worker() true on the current thread for the scope's
+// lifetime (the previous value is restored on exit). The pool wraps every
+// chunk in one; a thread that runs independent jobs beside other such
+// threads (the job server's worker slots) holds one so that each job's
+// engine and generators stay single-threaded instead of contending for the
+// shared pool.
+class WorkerScope {
+ public:
+  WorkerScope();
+  ~WorkerScope();
+
+  WorkerScope(const WorkerScope&) = delete;
+  WorkerScope& operator=(const WorkerScope&) = delete;
+
+ private:
+  bool outer_;
+};
 
 // Process-wide pool shared by the engine and the trial fan-out, created
 // lazily and grown (never shrunk) to satisfy the largest request. Returns a

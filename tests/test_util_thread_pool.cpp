@@ -88,6 +88,21 @@ TEST(ThreadPool, WorkerFlagVisibleInsideChunks) {
   EXPECT_FALSE(in_parallel_worker());
 }
 
+TEST(ThreadPool, WorkerScopeMarksThreadAndRestoresOnExit) {
+  EXPECT_FALSE(in_parallel_worker());
+  {
+    WorkerScope outer;
+    EXPECT_TRUE(in_parallel_worker());
+    { WorkerScope inner; }
+    EXPECT_TRUE(in_parallel_worker());  // the inner scope restores, not clears
+    ThreadPool pool(2);
+    EXPECT_THROW(pool.parallel_for(0, 2, 2, [](std::int64_t, std::int64_t,
+                                               int) {}),
+                 CheckFailure);
+  }
+  EXPECT_FALSE(in_parallel_worker());
+}
+
 // ---------------------------------------------------------------------------
 // parallel_for_dynamic: same deterministic chunk partition as parallel_for,
 // work-stealing assignment of chunks to workers.

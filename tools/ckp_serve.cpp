@@ -17,8 +17,10 @@
 //       ckp_serve --socket=/tmp/ckp.sock --store_dir=STORE &
 //       ckp_serve_client --socket=/tmp/ckp.sock < jobs.jsonl
 //
-// Flags: --workers (concurrent jobs), --queue_limit, --engine_threads
-// (rounds parallelism per job; only effective with --workers=1),
+// Flags: --workers (worker slots = concurrent jobs), --queue_limit,
+// --engine_threads (rounds parallelism per job; needs --workers=1, and
+// values > 1 with more workers are rejected since each job then runs
+// single-threaded on its slot),
 // --store_dir (result memo; empty disables), --heartbeat_every (seconds
 // between serve.jobs liveness lines on stderr; 0 = off).
 #include <atomic>
@@ -107,7 +109,7 @@ int run_pipe_mode(const ServerOptions& options) {
   return 0;
 }
 
-// One accepted connection: the fd plus a write mutex so pool workers
+// One accepted connection: the fd plus a write mutex so worker slots
 // finishing jobs for this client never interleave bytes with its reader
 // thread's immediate responses.
 struct Conn {
