@@ -8,7 +8,6 @@
 // t = ε·log_{3(Δ+1)} ln(1/p), at the 1/poly(n) regimes the paper uses.
 #include <cmath>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "core/lower_bounds.hpp"
@@ -17,7 +16,6 @@
 #include "obs/progress.hpp"
 #include "obs/reporter.hpp"
 #include "obs/trials.hpp"
-#include "store/artifact_store.hpp"
 #include "util/flags.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -27,14 +25,8 @@ int main(int argc, char** argv) {
   using namespace ckp;
   Flags flags(argc, argv);
   const int trials = static_cast<int>(flags.get_int("trials", 2000));
-  const std::string store_dir = flags.get_string("store_dir", "");
   BenchReporter reporter(flags, "E7_lower_bounds");
   flags.check_unknown();
-  // Instance cache (see bench_sinkless): generator Rng lives inside the
-  // make-closure, so hits and misses leave the trial streams identical.
-  // ArtifactStore::commit is safe from concurrent pool workers.
-  std::unique_ptr<ArtifactStore> store;
-  if (!store_dir.empty()) store = std::make_unique<ArtifactStore>(store_dir);
   const BfsKernelCounters kernel_before = bfs_kernel_counters();
 
   std::cout << "E7/Table A: 0-round failure floor (measured vs 1/Δ²)\n\n";
@@ -55,17 +47,9 @@ int main(int argc, char** argv) {
           const NodeId side = 512;
           const std::uint64_t gen_seed =
               mix_seed(0xE7, static_cast<std::uint64_t>(delta));
-          const auto make = [&] {
-            Rng gen(gen_seed);
-            return make_random_bipartite_regular(side, delta, gen);
-          };
+          Rng gen(gen_seed);
           const EdgeColoredGraph inst =
-              store ? store->edge_colored_graph(
-                          "bipartite_regular.d" + std::to_string(delta) +
-                              ".side" + std::to_string(side) + ".s" +
-                              std::to_string(gen_seed),
-                          make)
-                    : make();
+              make_random_bipartite_regular(side, delta, gen);
           Rng rng(mix_seed(0xE7F, static_cast<std::uint64_t>(delta)));
           const int girth_bound =
               girth_upper_bound_sampled(inst.graph, 64, rng);

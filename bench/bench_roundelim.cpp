@@ -10,22 +10,12 @@
 // land in the RunRecords (roundelim.opt_seconds / roundelim.ref_seconds /
 // roundelim.speedup) together with per-step wall times and intermediate
 // problem sizes, so the kernel speedup is tracked across PRs.
-//
-// With --store_dir=DIR every eliminated step is committed to the artifact
-// store as it completes (key: roundelim.d<Δ>.<form>.<input digest>.step<k>),
-// and --resume loads committed steps instead of recomputing them — a run
-// killed mid-sequence continues from the last committed step with
-// byte-identical step artifacts (DESIGN.md §8). Cached rows skip the timing
-// loops and the reference cross-check (nothing to measure) and carry
-// roundelim.cached = 1.
 #include <cstdint>
 #include <iostream>
-#include <optional>
 
 #include "core/roundelim.hpp"
 #include "obs/progress.hpp"
 #include "obs/reporter.hpp"
-#include "store/checkpoint.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -65,14 +55,7 @@ int main(int argc, char** argv) {
   const int ref_max_delta =
       static_cast<int>(flags.get_int("ref-max-delta", 6));
   const double min_time_s = flags.get_double("min-time-ms", 20.0) * 1e-3;
-  const std::string store_dir = flags.get_string("store_dir", "");
-  const bool resume = flags.get_bool("resume", false);
   flags.check_unknown();
-
-  std::optional<ArtifactStore> store;
-  if (!store_dir.empty()) store.emplace(store_dir);
-  const ArtifactStore* store_ptr = store ? &*store : nullptr;
-  int steps_cached_total = 0;
 
   std::cout << "E9: round-elimination fixed point for sinkless orientation\n\n";
   Table t({"Δ", "form", "|Σ|", "|A|", "|P|", "RR≅canonical", "0-round",
@@ -87,33 +70,18 @@ int main(int argc, char** argv) {
     for (const bool natural_form : {false, true}) {
       const auto p = natural_form ? sinkless_orientation_problem(delta)
                                   : canonical;
-      // One instrumented double elimination, checkpointed per step: a
-      // resumed run loads committed steps instead of recomputing.
-      ElimSequence seq(store_ptr,
-                       "roundelim.d" + std::to_string(delta) +
-                           (natural_form ? ".natural." : ".canonical.") +
-                           problem_digest(p),
-                       resume);
+      // One instrumented double elimination.
       Timer step1_timer;
-      const auto s1 = seq.next([&] { return round_eliminate(p); });
-      const auto& r1 = s1.problem;
+      const auto r1 = round_eliminate(p);
       const double step1_seconds = step1_timer.seconds();
       Timer step2_timer;
-      const auto s2 = seq.next([&] { return round_eliminate(r1); });
-      const auto& rr = s2.problem;
+      const auto rr = round_eliminate(r1);
       const double step2_seconds = step2_timer.seconds();
-      const bool cached = s1.cached && s2.cached;
-      steps_cached_total += seq.steps_cached();
       const bool fixed_point = problems_isomorphic(rr, canonical);
 
-      // Timing loops and the reference cross-check rerun the eliminations,
-      // so a resumed (cached) row skips them — that is the point of resume.
-      const double opt_seconds =
-          cached ? 0.0
-                 : seconds_per_call(
-                       [&] { round_eliminate(round_eliminate(p)); },
-                       min_time_s);
-      const bool have_ref = !cached && delta <= ref_max_delta;
+      const double opt_seconds = seconds_per_call(
+          [&] { round_eliminate(round_eliminate(p)); }, min_time_s);
+      const bool have_ref = delta <= ref_max_delta;
       double ref_seconds = 0.0;
       bool matches_reference = true;
       if (have_ref) {
@@ -149,8 +117,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(rr.active.size()));
         rec.metric("roundelim.step2_passive",
                    static_cast<double>(rr.passive.size()));
-        rec.metric("roundelim.cached", cached ? 1.0 : 0.0);
-        if (!cached) rec.metric("roundelim.opt_seconds", opt_seconds);
+        rec.metric("roundelim.opt_seconds", opt_seconds);
         if (have_ref) {
           rec.metric("roundelim.ref_seconds", ref_seconds);
           rec.metric("roundelim.speedup", ref_seconds / opt_seconds);
@@ -165,7 +132,7 @@ int main(int argc, char** argv) {
                  Table::cell(static_cast<std::uint64_t>(p.passive.size())),
                  fixed_point && matches_reference ? "yes" : "NO",
                  zero_round_solvable(p) ? "yes" : "no",
-                 cached ? "cached" : micros(opt_seconds),
+                 micros(opt_seconds),
                  have_ref ? micros(ref_seconds) : "-",
                  have_ref ? Table::cell(ref_seconds / opt_seconds, 1) : "-"});
       meter.step();
@@ -173,12 +140,6 @@ int main(int argc, char** argv) {
   }
   meter.finish();
   reporter.print(t, std::cout);
-  if (store_ptr != nullptr) {
-    std::cout << "\n[store] " << (resume ? "resume: " : "")
-              << steps_cached_total
-              << " elimination steps served from " << store_ptr->dir()
-              << '\n';
-  }
 
   std::cout << "\nControl: trivially solvable problem stays 0-round solvable"
             << " through elimination\n\n";

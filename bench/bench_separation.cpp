@@ -17,9 +17,8 @@
 // enough to raise the default sweep ceiling from 2^20 to 2^22 (4× n).
 // Engine rounds count one communication round per engine round, so the
 // measured shape is the same; the RNG streams differ from the monolith
-// references, so packed runs are cached under their own store keys.
+// references.
 #include <iostream>
-#include <optional>
 
 #include "algo/be_tree_coloring.hpp"
 #include "algo/delta_coloring_local.hpp"
@@ -31,7 +30,6 @@
 #include "obs/progress.hpp"
 #include "obs/reporter.hpp"
 #include "obs/trials.hpp"
-#include "store/checkpoint.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/math.hpp"
@@ -47,16 +45,7 @@ int main(int argc, char** argv) {
   const int max_exp =
       static_cast<int>(flags.get_int("max-exp", packed ? 22 : 20));
   BenchReporter reporter(flags, "E1_separation");
-  // --store_dir caches generated graphs and commits per-seed RunRecords as
-  // trials finish; --resume additionally skips seeds already committed
-  // (their records re-emit byte-identically). See DESIGN.md §8.
-  const std::string store_dir = flags.get_string("store_dir", "");
-  const bool resume = flags.get_bool("resume", false);
   flags.check_unknown();
-  std::optional<ArtifactStore> store;
-  if (!store_dir.empty()) store.emplace(store_dir);
-  const ArtifactStore* store_ptr = store ? &*store : nullptr;
-  int seeds_cached_total = 0;
 
   std::cout << "E1: exponential separation for Δ-coloring trees\n"
             << "det = Thm 9 (q=Δ); rand10 = Thm 10; rand11 = Thm 11"
@@ -65,21 +54,14 @@ int main(int argc, char** argv) {
 
   Table table({"Δ", "n", "log_Δ n", "det", "rand10", "rand11",
                "det/rand10"});
-  // One unit per (Δ, n) instance; per-seed heartbeats inside an instance
-  // come from run_trials_checkpointed when a store is configured.
+  // One unit per (Δ, n) instance.
   ProgressMeter meter("E1_separation.sweep",
                       static_cast<std::uint64_t>(
                           3 * (max_exp >= 8 ? (max_exp - 8) / 2 + 1 : 0)));
   for (int delta : {16, 32, 64}) {
     for (int e = 8; e <= max_exp; e += 2) {
       const NodeId n = static_cast<NodeId>(1) << e;
-      const std::string instance_key =
-          "complete_tree.d" + std::to_string(delta) + ".n" + std::to_string(n);
-      const Graph g =
-          store_ptr != nullptr
-              ? store_ptr->graph(instance_key,
-                                 [&] { return make_complete_tree(n, delta); })
-              : make_complete_tree(n, delta);
+      const Graph g = make_complete_tree(n, delta);
 
       Rng rng(mix_seed(0xE1, static_cast<std::uint64_t>(n),
                        static_cast<std::uint64_t>(delta)));
@@ -105,12 +87,8 @@ int main(int argc, char** argv) {
 
       // Independent seeds fan out across the thread pool; records come back
       // in seed order so tables and JSONL are identical at any --threads.
-      // With a store, each seed's records are committed as it finishes and
-      // a resumed run skips the committed ones.
-      int seeds_cached = 0;
-      auto trial_records = run_trials_checkpointed(
-          store_ptr, (packed ? "E1P." : "E1.") + instance_key, resume, seeds,
-          reporter.threads(),
+      auto trial_records = run_trials(
+          seeds, reporter.threads(),
           [&](int s) -> std::vector<RunRecord> {
             const auto seed = static_cast<std::uint64_t>(s) + 1;
             if (packed) {
@@ -201,9 +179,7 @@ int main(int argc, char** argv) {
             rec11.metric("phase2_largest_component",
                          static_cast<double>(b.phase2_largest_component));
             return {std::move(rec10), std::move(rec11)};
-          },
-          &seeds_cached);
-      seeds_cached_total += seeds_cached;
+          });
       Accumulator r10, r11;
       for (RunRecord& rec : trial_records) {
         (rec.algorithm.compare(0, 5, "thm10") == 0 ? r10 : r11)
@@ -221,11 +197,6 @@ int main(int argc, char** argv) {
   }
   meter.finish();
   reporter.print(table, std::cout);
-  if (store_ptr != nullptr) {
-    std::cout << "\n[store] " << (resume ? "resume: " : "")
-              << seeds_cached_total << " seeds served from "
-              << store_ptr->dir() << '\n';
-  }
   std::cout << "\nExpected shape: det grows with log_Δ n; rand columns stay"
             << " nearly flat; det/rand widens as n grows.\n";
   return 0;

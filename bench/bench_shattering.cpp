@@ -1,7 +1,6 @@
 // Experiment E4 — graph shattering in Theorems 10 and 11.
 //
 // Measures, over many seeds, the size of the residual ("bad" / S) vertex
-#include <cmath>
 // sets after the randomized phase and the largest connected component they
 // induce, against the paper's bounds (Δ⁴·log n for Thm 10; O(log n) for
 // Thm 11 at Δ >= 55). The Δ sweep deliberately dips below 55 to probe the
@@ -9,10 +8,9 @@
 // --packed runs the engine-native ports (algo/delta_coloring_local.hpp)
 // instead of the monolith references: same statistic definitions, packed
 // 8-byte node words, and a default sweep ceiling of 2^19 instead of 2^17
-// (the byte-lean path is what makes the larger trees feasible). Packed
-// trials cache under their own store keys (different RNG streams).
+// (the byte-lean path is what makes the larger trees feasible).
+#include <cmath>
 #include <iostream>
-#include <optional>
 
 #include "algo/delta_coloring_local.hpp"
 #include "core/delta_coloring_thm10.hpp"
@@ -24,7 +22,6 @@
 #include "obs/progress.hpp"
 #include "obs/reporter.hpp"
 #include "obs/trials.hpp"
-#include "store/checkpoint.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/math.hpp"
@@ -39,21 +36,11 @@ int main(int argc, char** argv) {
   const int max_exp =
       static_cast<int>(flags.get_int("max-exp", packed ? 19 : 17));
   BenchReporter reporter(flags, "E4_shattering");
-  // --store_dir caches the generated trees and commits per-seed RunRecords
-  // as trials finish; --resume skips seeds already committed (DESIGN.md §8).
-  const std::string store_dir = flags.get_string("store_dir", "");
-  const bool resume = flags.get_bool("resume", false);
   flags.check_unknown();
-  std::optional<ArtifactStore> store;
-  if (!store_dir.empty()) store.emplace(store_dir);
-  const ArtifactStore* store_ptr = store ? &*store : nullptr;
-  int seeds_cached_total = 0;
 
   std::cout << "E4/Table A: Theorem 11 Phase-2 shattering (set S)\n"
             << "mean/max over " << seeds << " seeds; bound: O(log n) for Δ>=55\n\n";
-  // One unit per (Δ, n) instance across both shattering tables; per-seed
-  // heartbeats inside an instance come from run_trials_checkpointed when a
-  // store is configured.
+  // One unit per (Δ, n) instance across both shattering tables.
   const std::uint64_t exps = static_cast<std::uint64_t>(
       max_exp >= 13 ? (max_exp - 13) / 2 + 1 : 0);
   ProgressMeter meter("E4_shattering.sweep", (4 + 3) * exps);
@@ -62,18 +49,8 @@ int main(int argc, char** argv) {
     for (int delta : {16, 32, 55, 96}) {
       for (int e = 13; e <= max_exp; e += 2) {
         const NodeId n = static_cast<NodeId>(1) << e;
-        const std::string instance_key = "complete_tree.d" +
-                                         std::to_string(delta) + ".n" +
-                                         std::to_string(n);
-        const Graph g =
-            store_ptr != nullptr
-                ? store_ptr->graph(
-                      instance_key,
-                      [&] { return make_complete_tree(n, delta); })
-                : make_complete_tree(n, delta);
-        int seeds_cached = 0;
-        auto trial_records = run_trials_checkpointed(
-            store_ptr, (packed ? "E4AP." : "E4A.") + instance_key, resume,
+        const Graph g = make_complete_tree(n, delta);
+        auto trial_records = run_trials(
             seeds, reporter.threads(), [&](int s) -> std::vector<RunRecord> {
               const auto seed = static_cast<std::uint64_t>(s) + 1;
               RunRecord rec = reporter.make_record();
@@ -111,9 +88,7 @@ int main(int argc, char** argv) {
               rec.metric("phase2_largest_component",
                          static_cast<double>(r.phase2_largest_component));
               return {std::move(rec)};
-            },
-            &seeds_cached);
-        seeds_cached_total += seeds_cached;
+            });
         Accumulator set_size, comp, comp_max;
         for (RunRecord& rec : trial_records) {
           set_size.add(metric_or(rec, "phase2_set_size", 0.0));
@@ -139,18 +114,8 @@ int main(int argc, char** argv) {
     for (int delta : {16, 32, 64}) {
       for (int e = 13; e <= max_exp; e += 2) {
         const NodeId n = static_cast<NodeId>(1) << e;
-        const std::string instance_key = "complete_tree.d" +
-                                         std::to_string(delta) + ".n" +
-                                         std::to_string(n);
-        const Graph g =
-            store_ptr != nullptr
-                ? store_ptr->graph(
-                      instance_key,
-                      [&] { return make_complete_tree(n, delta); })
-                : make_complete_tree(n, delta);
-        int seeds_cached = 0;
-        auto trial_records = run_trials_checkpointed(
-            store_ptr, (packed ? "E4BP." : "E4B.") + instance_key, resume,
+        const Graph g = make_complete_tree(n, delta);
+        auto trial_records = run_trials(
             seeds, reporter.threads(), [&](int s) -> std::vector<RunRecord> {
               const auto seed = static_cast<std::uint64_t>(s) + 1;
               RunRecord rec = reporter.make_record();
@@ -187,9 +152,7 @@ int main(int argc, char** argv) {
               rec.metric("largest_bad_component",
                          static_cast<double>(r.largest_bad_component));
               return {std::move(rec)};
-            },
-            &seeds_cached);
-        seeds_cached_total += seeds_cached;
+            });
         Accumulator bad, comp;
         for (RunRecord& rec : trial_records) {
           bad.add(metric_or(rec, "bad_vertices", 0.0));
@@ -240,11 +203,6 @@ int main(int argc, char** argv) {
     reporter.print(t, std::cout);
   }
 
-  if (store_ptr != nullptr) {
-    std::cout << "\n[store] " << (resume ? "resume: " : "")
-              << seeds_cached_total << " seeds served from "
-              << store_ptr->dir() << '\n';
-  }
   std::cout << "\nExpected shape: max component sizes grow ~ log n and stay"
             << " far below the theorem bounds; smaller Δ yields larger\n"
             << "components (the paper's 'Δ not too small' remark).\n";

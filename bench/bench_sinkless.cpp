@@ -6,7 +6,6 @@
 // DESIGN.md: we use random bipartite Δ-regular graphs instead of explicit
 // high-girth constructions). Outputs are verified sinkless orientations.
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "core/sinkless.hpp"
@@ -16,7 +15,6 @@
 #include "graph/regular.hpp"
 #include "local/ids.hpp"
 #include "obs/reporter.hpp"
-#include "store/artifact_store.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/math.hpp"
@@ -28,15 +26,8 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int seeds = static_cast<int>(flags.get_int("seeds", 3));
   const int max_exp = static_cast<int>(flags.get_int("max-exp", 15));
-  const std::string store_dir = flags.get_string("store_dir", "");
   BenchReporter reporter(flags, "E8_sinkless");
   flags.check_unknown();
-  // Instance cache: expensive generated topologies keyed by
-  // (family, parameters, seed). The make-closures own their generator Rng,
-  // so a cache hit leaves every downstream random stream untouched — cold
-  // and warm runs print identical tables.
-  std::unique_ptr<ArtifactStore> store;
-  if (!store_dir.empty()) store = std::make_unique<ArtifactStore>(store_dir);
 
   std::cout << "E8: sinkless orientation — deterministic vs randomized\n"
             << "random bipartite Δ-regular instances; girth sampled\n\n";
@@ -48,17 +39,9 @@ int main(int argc, char** argv) {
       const std::uint64_t gen_seed =
           mix_seed(0xE8, static_cast<std::uint64_t>(delta),
                    static_cast<std::uint64_t>(side));
-      const auto make = [&] {
-        Rng gen(gen_seed);
-        return make_random_bipartite_regular(side, delta, gen);
-      };
+      Rng gen(gen_seed);
       const EdgeColoredGraph inst =
-          store ? store->edge_colored_graph(
-                      "bipartite_regular.d" + std::to_string(delta) +
-                          ".side" + std::to_string(side) + ".s" +
-                          std::to_string(gen_seed),
-                      make)
-                : make();
+          make_random_bipartite_regular(side, delta, gen);
       const Graph& g = inst.graph;
       Rng rng(mix_seed(0xE8F, static_cast<std::uint64_t>(delta),
                        static_cast<std::uint64_t>(side)));
@@ -129,13 +112,7 @@ int main(int argc, char** argv) {
     for (const auto& [pp, qq] : std::vector<std::pair<int, int>>{
              {5, 13}, {5, 17}, {5, 29}, {13, 17}}) {
       LpsGraph lps = lps_parameters(pp, qq);
-      lps.graph = store ? store->graph("lps.p" + std::to_string(pp) + ".q" +
-                                           std::to_string(qq),
-                                       [&] {
-                                         return make_lps_ramanujan(pp, qq)
-                                             .graph;
-                                       })
-                        : make_lps_ramanujan(pp, qq).graph;
+      lps.graph = make_lps_ramanujan(pp, qq).graph;
       const Graph& g = lps.graph;
       Rng rng(mix_seed(0xE8B, static_cast<std::uint64_t>(pp),
                        static_cast<std::uint64_t>(qq)));

@@ -10,7 +10,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build-asan}"
 TESTS=(test_roundelim_packed test_core_roundelim test_property_fuzz
-  test_parse_hardening test_store_binary test_store_resume test_bfs_kernel
+  test_parse_hardening test_store_binary test_bfs_kernel
   test_obs_resource test_engine_packed test_util_simd test_util_thread_pool
   test_graph_regular test_serve test_delta_coloring_packed)
 

@@ -28,16 +28,6 @@ std::vector<int> gram_labels(const CycleLcl& lcl, int gram) {
   return out;
 }
 
-int labels_gram(const CycleLcl& lcl, const std::vector<int>& labels,
-                std::size_t start, std::size_t n) {
-  int gram = 0;
-  for (int i = 0; i < lcl.window - 1; ++i) {
-    gram = gram * lcl.num_labels +
-           labels[(start + static_cast<std::size_t>(i)) % n];
-  }
-  return gram;
-}
-
 // The automaton: edge gram -> gram' labeled by the appended label.
 struct Automaton {
   int grams = 0;

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <utility>
@@ -738,7 +737,7 @@ BipartiteProblem round_eliminate_packed(const BipartiteProblem& p,
     out.label_names.push_back(subset_name(p, mask));
   }
   // The new id of a mask is its rank in the sorted `used` vector — no map.
-  const auto rank = [&used](std::uint64_t mask) {
+  const auto rank = [](std::uint64_t mask) {
     return static_cast<int>(
         std::lower_bound(used.begin(), used.end(), mask) - used.begin());
   };
@@ -839,44 +838,6 @@ bool problems_identical(const BipartiteProblem& a, const BipartiteProblem& b) {
          a.passive_degree == b.passive_degree &&
          a.label_names == b.label_names && a.active == b.active &&
          a.passive == b.passive;
-}
-
-std::string problem_digest(const BipartiteProblem& p) {
-  // FNV-1a over an unambiguous canonical encoding: every field is followed
-  // by a separator that cannot occur inside it ('\x1f' between atoms,
-  // '\x1e' between sections), so distinct problems cannot collide by
-  // concatenation.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto mix_byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  };
-  const auto mix_int = [&](long long v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<unsigned char>(v >> (8 * i)));
-    mix_byte(0x1F);
-  };
-  const auto mix_str = [&](const std::string& s) {
-    for (const char c : s) mix_byte(static_cast<unsigned char>(c));
-    mix_byte(0x1F);
-  };
-  const auto mix_side = [&](const std::set<std::vector<int>>& side) {
-    mix_int(static_cast<long long>(side.size()));
-    for (const std::vector<int>& config : side) {
-      for (const int label : config) mix_int(label);
-      mix_byte(0x1E);
-    }
-    mix_byte(0x1E);
-  };
-  mix_int(p.active_degree);
-  mix_int(p.passive_degree);
-  mix_int(p.num_labels());
-  for (const std::string& name : p.label_names) mix_str(name);
-  mix_side(p.active);
-  mix_side(p.passive);
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
 }
 
 namespace {

@@ -86,13 +86,6 @@ BipartiteProblem round_eliminate_reference(const BipartiteProblem& p,
 // the packed kernel to the reference output label-for-label.
 bool problems_identical(const BipartiteProblem& a, const BipartiteProblem& b);
 
-// A 16-hex-digit digest of the full problem description (degrees, label
-// names, both configuration sets). Equal problems (problems_identical)
-// digest equally; the artifact store bakes it into checkpoint keys so a
-// resumed run can never pick up steps computed from a different input
-// problem (e.g. after a generator change).
-std::string problem_digest(const BipartiteProblem& p);
-
 // True iff a and b are identical up to a bijective relabeling. Labels are
 // first partitioned by invariant signatures (occurrence counts per side and
 // multiplicity); the backtracking search only matches labels with equal

@@ -1,20 +1,20 @@
 // Rate-limited progress heartbeats for hours-long runs.
 //
-// A checkpointed sweep that is quietly working for an hour is
+// A sweep that is quietly working for an hour is
 // indistinguishable from one that hung. ProgressMeter gives long loops a
 // liveness signal: call step() per completed unit and, at most once every
 // `every_seconds`, one self-describing JSON line lands on the sink (stderr
 // by default — stdout stays reserved for tables and --json_out artifacts):
 //
-//   {"progress":"E1.complete_tree.d16.n256","done":5,"total":24,
+//   {"progress":"E1_separation.sweep","done":5,"total":24,
 //    "elapsed_seconds":12.1,"eta_seconds":45.9,"rss_bytes":73400320}
 //
 // Events are out-of-band by design: they never enter RunRecords or the
 // --json_out stream, so byte-stability of the measurement artifacts is
 // untouched (DESIGN.md §10). The process-wide interval is set once by
 // BenchReporter from --progress_every (0 = disabled, the default); meters
-// constructed with kGlobalInterval inherit it, so library code like
-// run_trials_checkpointed emits heartbeats without per-call plumbing.
+// constructed with kGlobalInterval inherit it, so a bench's sweep meter
+// emits heartbeats without per-call plumbing.
 //
 // ProgressObserver is the same signal for a single long engine run, fed
 // from the per-round observer hooks (round / max_rounds / halted fraction).

@@ -68,8 +68,7 @@ RunRecord BenchReporter::make_record() const {
 
 void BenchReporter::add(RunRecord record) {
   if (record.bench.empty()) record.bench = bench_name_;
-  // Stamp fresh records only: records parsed from a checkpoint keep their
-  // raw line (and therefore their original provenance, or lack of one).
+  // Stamp records that carry no provenance of their own.
   if (provenance_enabled_ && record.provenance.empty()) {
     record.provenance = provenance_;
   }

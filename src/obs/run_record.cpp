@@ -79,7 +79,6 @@ RunProvenance collect_provenance() {
 }
 
 void RunRecord::metric(const std::string& name, double value) {
-  raw_json_.clear();
   for (auto& [k, v] : metrics_) {
     if (k == name) {
       v = value;
@@ -96,7 +95,6 @@ void RunRecord::absorb(const MetricsRegistry& registry) {
 }
 
 std::string RunRecord::to_json() const {
-  if (!raw_json_.empty()) return raw_json_;
   JsonWriter w;
   w.begin_object();
   w.key("bench").value(bench);
@@ -194,7 +192,6 @@ RunRecord RunRecord::from_json_line(const std::string& line) {
       rec.metrics_.emplace_back(name, value.as_number());
     }
   }
-  rec.raw_json_ = line;
   return rec;
 }
 

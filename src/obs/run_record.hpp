@@ -65,21 +65,18 @@ struct RunRecord {
     return metrics_;
   }
 
-  // One compact JSON object on a single line (no trailing newline). For a
-  // record built by from_json_line the original line is returned verbatim,
-  // so checkpointed records re-emit byte-identically (re-serializing a
-  // parsed double is not guaranteed to reproduce its source text).
+  // One compact JSON object on a single line (no trailing newline).
+  // Numbers print as %.12g, so a line parsed by from_json_line prints back
+  // byte-identically.
   std::string to_json() const;
 
   // Parses one JSONL line written by to_json back into a RunRecord (fields,
-  // metrics, and trace), keeping the raw line for verbatim re-emission.
-  // Throws CheckFailure on malformed input. Used by checkpoint resume;
-  // treat the result as a read-only snapshot (metric() drops the raw line).
+  // metrics, and trace). Throws CheckFailure on malformed input. Used by
+  // ckp_bench_diff and by serve clients that read records back.
   static RunRecord from_json_line(const std::string& line);
 
  private:
   std::vector<std::pair<std::string, double>> metrics_;
-  std::string raw_json_;  // set by from_json_line; cleared on mutation
 };
 
 // Writes RunRecords as JSON Lines. An empty path makes the writer a no-op

@@ -1,7 +1,6 @@
 #include "obs/trials.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "util/check.hpp"
@@ -9,42 +8,26 @@
 
 namespace ckp {
 
-std::vector<std::vector<RunRecord>> run_trials_subset(
-    const std::vector<int>& ids, int threads, const TrialFn& trial_fn,
-    const TrialDoneFn& on_done) {
-  const int count = static_cast<int>(ids.size());
-  std::vector<std::vector<RunRecord>> per_trial(
-      static_cast<std::size_t>(count));
-  const auto run_one = [&](int slot) {
-    per_trial[static_cast<std::size_t>(slot)] =
-        trial_fn(ids[static_cast<std::size_t>(slot)]);
-    if (on_done) {
-      on_done(ids[static_cast<std::size_t>(slot)],
-              per_trial[static_cast<std::size_t>(slot)]);
-    }
-  };
-  const int chunks = std::clamp(threads, 1, std::max(count, 1));
-  if (chunks <= 1 || in_parallel_worker()) {
-    for (int slot = 0; slot < count; ++slot) run_one(slot);
-  } else {
-    shared_pool(chunks).parallel_for(
-        0, count, chunks,
-        [&](std::int64_t begin, std::int64_t end, int /*chunk*/) {
-          for (std::int64_t slot = begin; slot < end; ++slot) {
-            run_one(static_cast<int>(slot));
-          }
-        });
-  }
-  return per_trial;
-}
-
 std::vector<RunRecord> run_trials(int trials, int threads,
                                   const TrialFn& trial_fn) {
   CKP_CHECK_MSG(trials >= 0, "negative trial count");
-  std::vector<int> ids(static_cast<std::size_t>(trials));
-  std::iota(ids.begin(), ids.end(), 0);
-  std::vector<std::vector<RunRecord>> per_trial =
-      run_trials_subset(ids, threads, trial_fn);
+  std::vector<std::vector<RunRecord>> per_trial(
+      static_cast<std::size_t>(trials));
+  const int chunks = std::clamp(threads, 1, std::max(trials, 1));
+  if (chunks <= 1 || in_parallel_worker()) {
+    for (int t = 0; t < trials; ++t) {
+      per_trial[static_cast<std::size_t>(t)] = trial_fn(t);
+    }
+  } else {
+    shared_pool(chunks).parallel_for(
+        0, trials, chunks,
+        [&](std::int64_t begin, std::int64_t end, int /*chunk*/) {
+          for (std::int64_t t = begin; t < end; ++t) {
+            per_trial[static_cast<std::size_t>(t)] =
+                trial_fn(static_cast<int>(t));
+          }
+        });
+  }
   std::vector<RunRecord> out;
   for (std::vector<RunRecord>& records : per_trial) {
     for (RunRecord& record : records) out.push_back(std::move(record));

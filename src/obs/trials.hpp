@@ -13,12 +13,6 @@
 // run_local calls inside a trial detect the fan-out and run sequentially
 // (no nested parallelism), which keeps the outer, better-grained
 // parallelism.
-//
-// run_trials_subset is the primitive underneath: it runs an arbitrary set
-// of trial indices (the checkpoint layer uses it to re-run only the seeds a
-// killed sweep had not yet committed) and can invoke a completion hook per
-// trial as it finishes — on the worker thread, so the hook must be
-// thread-safe; the artifact store's atomic commit is.
 #pragma once
 
 #include <functional>
@@ -31,20 +25,8 @@ namespace ckp {
 // One trial may measure several algorithm executions, hence the vector.
 using TrialFn = std::function<std::vector<RunRecord>(int trial)>;
 
-// Called right after trial `trial` finishes, with its records, on the
-// worker thread that ran it.
-using TrialDoneFn =
-    std::function<void(int trial, const std::vector<RunRecord>& records)>;
-
 std::vector<RunRecord> run_trials(int trials, int threads,
                                   const TrialFn& trial_fn);
-
-// Runs exactly the trials in `ids` (any order; each id passed to trial_fn),
-// returning one record vector per id, aligned with `ids`. `on_done`, when
-// set, fires per trial as it completes.
-std::vector<std::vector<RunRecord>> run_trials_subset(
-    const std::vector<int>& ids, int threads, const TrialFn& trial_fn,
-    const TrialDoneFn& on_done = nullptr);
 
 // The value of metric `name` on `record`, or `def` when absent. The benches
 // rebuild their summary tables from the records run_trials hands back, so

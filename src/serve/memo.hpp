@@ -14,7 +14,7 @@
 // crash-safe) framed with the standard artifact header. The payload is the
 // RunRecord's JSON line verbatim, so a memo hit re-emits the original
 // record byte-identically. Corrupt or version-skewed artifacts decode as a
-// miss (recompute and overwrite), matching the store-wide policy.
+// miss (recompute and overwrite).
 #pragma once
 
 #include <cstdint>

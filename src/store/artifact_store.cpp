@@ -1,17 +1,15 @@
 #include "store/artifact_store.hpp"
 
 #include <atomic>
-#include <cstdio>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "store/serialize.hpp"
 #include "util/check.hpp"
 
 namespace ckp {
@@ -95,56 +93,6 @@ void ArtifactStore::commit(const std::string& key,
     ::fsync(dir_fd);
     ::close(dir_fd);
   }
-}
-
-namespace {
-
-// Shared load-or-compute shape for the typed helpers: a decode failure is
-// reported and treated as a miss.
-template <typename T>
-T load_or_compute(const ArtifactStore& store, const std::string& key,
-                  const std::function<T()>& make,
-                  T (*decode)(std::string_view), std::string (*encode)(const T&),
-                  bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (const auto bytes = store.load(key)) {
-    try {
-      T out = decode(*bytes);
-      if (cache_hit != nullptr) *cache_hit = true;
-      return out;
-    } catch (const CheckFailure& e) {
-      std::cerr << "[store] discarding corrupt artifact '" << key
-                << "': " << e.what() << '\n';
-    }
-  }
-  T out = make();
-  store.commit(key, encode(out));
-  return out;
-}
-
-}  // namespace
-
-Graph ArtifactStore::graph(const std::string& key,
-                           const std::function<Graph()>& make,
-                           bool* cache_hit) const {
-  return load_or_compute<Graph>(*this, key, make, &graph_from_bytes,
-                                &graph_to_bytes, cache_hit);
-}
-
-BipartiteProblem ArtifactStore::problem(
-    const std::string& key, const std::function<BipartiteProblem()>& make,
-    bool* cache_hit) const {
-  return load_or_compute<BipartiteProblem>(*this, key, make,
-                                           &problem_from_bytes,
-                                           &problem_to_bytes, cache_hit);
-}
-
-EdgeColoredGraph ArtifactStore::edge_colored_graph(
-    const std::string& key, const std::function<EdgeColoredGraph()>& make,
-    bool* cache_hit) const {
-  return load_or_compute<EdgeColoredGraph>(
-      *this, key, make, &edge_colored_graph_from_bytes,
-      &edge_colored_graph_to_bytes, cache_hit);
 }
 
 }  // namespace ckp

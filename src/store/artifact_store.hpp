@@ -1,27 +1,22 @@
-// Keyed, crash-safe artifact cache backing --store_dir.
+// Keyed, crash-safe byte store behind the serve result memo (--store_dir).
 //
-// One artifact per key, stored as a single file in the store directory
+// One value per key, stored as a single file in the store directory
 // (keys are sanitized to a filesystem-safe charset). Commits are atomic:
 // bytes are written to a uniquely named temp file in the same directory,
 // flushed and fsync'd, then renamed over the final path — a reader (or a
-// resumed run) therefore only ever sees absent or complete artifacts, never
-// a torn write, even across SIGKILL. commit() is safe to call concurrently
-// from pool workers (per-call unique temp names; rename is atomic).
+// restarted server) therefore only ever sees absent or complete values,
+// never a torn write, even across SIGKILL. commit() is safe to call
+// concurrently from several threads (per-call unique temp names; rename is
+// atomic), so two worker slots memoizing the same job leave one whole value.
 //
-// Corruption policy: load() returns raw bytes and leaves validation to the
-// typed decoders; the load-or-compute helpers treat a failing decode as a
-// cache miss (recompute and overwrite) so a damaged store degrades to a
-// cold one instead of bricking the run.
+// The store does not interpret what it holds: load() returns raw bytes, and
+// the caller validates them (ResultMemo unframes with binary_io.hpp and
+// treats any failing check as a miss).
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-
-#include "core/roundelim.hpp"
-#include "graph/graph.hpp"
-#include "graph/regular.hpp"
 
 namespace ckp {
 
@@ -34,7 +29,7 @@ class ArtifactStore {
 
   // Keys map to file names: [A-Za-z0-9._-] pass through, anything else
   // becomes '_'. Collisions after sanitization are the caller's problem;
-  // the benches build keys from this charset only.
+  // the memo builds keys from this charset only.
   static std::string sanitize_key(const std::string& key);
   std::string path_for(const std::string& key) const;
 
@@ -45,18 +40,6 @@ class ArtifactStore {
 
   // Atomically commits `bytes` under `key`, replacing any previous value.
   void commit(const std::string& key, std::string_view bytes) const;
-
-  // Load-or-compute: returns the cached artifact when present and decodable,
-  // else runs `make`, commits the result, and returns it. A cache hit is
-  // byte-identical to what the original compute committed.
-  Graph graph(const std::string& key, const std::function<Graph()>& make,
-              bool* cache_hit = nullptr) const;
-  BipartiteProblem problem(const std::string& key,
-                           const std::function<BipartiteProblem()>& make,
-                           bool* cache_hit = nullptr) const;
-  EdgeColoredGraph edge_colored_graph(
-      const std::string& key, const std::function<EdgeColoredGraph()>& make,
-      bool* cache_hit = nullptr) const;
 
  private:
   std::string dir_;

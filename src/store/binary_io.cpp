@@ -1,6 +1,5 @@
 #include "store/binary_io.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -51,49 +50,6 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     h *= 0x100000001B3ULL;
   }
   return h;
-}
-
-void ByteWriter::u8(std::uint8_t v) { out_ += static_cast<char>(v); }
-
-void ByteWriter::u32(std::uint32_t v) { append_u32_le(out_, v); }
-
-void ByteWriter::u64(std::uint64_t v) { append_u64_le(out_, v); }
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::str(std::string_view s) {
-  CKP_CHECK_MSG(s.size() <= 0xFFFFFFFFULL, "binary string too long");
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_ += s;
-}
-
-std::string_view ByteReader::take(std::size_t count) {
-  CKP_CHECK_MSG(pos_ + count <= bytes_.size(),
-                "binary payload truncated: need " << count << " bytes, have "
-                                                  << remaining());
-  const std::string_view out = bytes_.substr(pos_, count);
-  pos_ += count;
-  return out;
-}
-
-std::uint8_t ByteReader::u8() {
-  return static_cast<std::uint8_t>(take(1)[0]);
-}
-
-std::uint32_t ByteReader::u32() { return read_u32_le(take(4).data()); }
-
-std::uint64_t ByteReader::u64() { return read_u64_le(take(8).data()); }
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string ByteReader::str() {
-  const std::uint32_t len = u32();
-  return std::string(take(len));
-}
-
-void ByteReader::expect_done() const {
-  CKP_CHECK_MSG(done(), "binary payload has " << remaining()
-                                              << " trailing bytes");
 }
 
 std::string frame_artifact(std::uint32_t kind, std::uint32_t version,

@@ -1,16 +1,12 @@
-// Low-level binary encoding for the artifact store.
-//
-// Artifacts are written as a fixed frame:
+// The frame every memoized value is stored in.
 //
 //   magic "CKPA" | u32 format version | u32 kind (fourcc) |
 //   u64 payload length | payload bytes | u64 FNV-1a checksum of payload
 //
-// Every scalar is little-endian fixed-width, so artifacts are byte-stable
-// across runs and platforms — the property the resume machinery's
-// bit-identity argument (DESIGN.md §8) rests on. ByteWriter/ByteReader are
-// the payload codecs: the reader CKP_CHECKs every read against the
-// remaining length, so a truncated or corrupt payload fails cleanly rather
-// than reading out of bounds.
+// Every header scalar is little-endian fixed-width, so a frame is
+// byte-stable across runs and platforms. unframe_artifact checks every
+// field, so a truncated, torn or foreign file fails cleanly (ResultMemo
+// turns that failure into a cache miss) instead of being read as a value.
 #pragma once
 
 #include <cstdint>
@@ -22,48 +18,6 @@ namespace ckp {
 // FNV-1a over `bytes`; the checksum used by artifact frames.
 std::uint64_t fnv1a64(std::string_view bytes);
 
-class ByteWriter {
- public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  // u32 length prefix + raw bytes.
-  void str(std::string_view s);
-
-  const std::string& bytes() const { return out_; }
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  std::string str();
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-  bool done() const { return pos_ == bytes_.size(); }
-  // CKP_CHECKs that the payload was consumed exactly.
-  void expect_done() const;
-
- private:
-  std::string_view take(std::size_t count);
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
 // Wraps `payload` in the artifact frame described above.
 std::string frame_artifact(std::uint32_t kind, std::uint32_t version,
                            std::string_view payload);
@@ -74,7 +28,7 @@ std::string frame_artifact(std::uint32_t kind, std::uint32_t version,
 std::string_view unframe_artifact(std::string_view bytes, std::uint32_t kind,
                                   std::uint32_t version);
 
-// Four-character kind tags as u32 (e.g. fourcc("GRPH")).
+// Four-character kind tags as u32 (e.g. fourcc("SRVM")).
 constexpr std::uint32_t fourcc(const char (&tag)[5]) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(tag[0])) |
          static_cast<std::uint32_t>(static_cast<unsigned char>(tag[1])) << 8 |

@@ -1,14 +1,14 @@
 // Minimal JSON emission and parsing for the observability layer.
 //
 // The writer produces compact single-line JSON (the shape JSON Lines wants);
-// the parser is a strict recursive-descent reader used by the checkpoint
-// store, tests, and tools. The writer passes UTF-8 through unescaped; the
+// the parser is a strict recursive-descent reader used by the serve job
+// protocol, tests, and tools. The writer passes UTF-8 through unescaped; the
 // parser additionally decodes arbitrary \uXXXX escapes (including surrogate
 // pairs) to UTF-8, so records written by other tools round-trip. Nesting is
 // capped at 256 levels so hostile input fails a CKP_CHECK instead of
 // overflowing the stack. Neither aims to be a general-purpose JSON library —
 // no streaming — just enough for run records, metrics snapshots, Chrome
-// trace events, and checkpoint round-trips.
+// trace events, and serve job lines.
 #pragma once
 
 #include <cstdint>

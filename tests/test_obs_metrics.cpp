@@ -378,5 +378,61 @@ TEST(SpanTracer, ScopedSpansCloseOnDestruction) {
   EXPECT_DOUBLE_EQ(events[1].at("dur").as_number(), 5e5);
 }
 
+// ---- RunRecord::from_json_line ----
+
+RunRecord make_rec(int trial, int copy) {
+  RunRecord rec;
+  rec.bench = "test_record";
+  rec.algorithm = copy == 0 ? "alpha" : "beta";
+  rec.graph_family = "none";
+  rec.n = 100 + static_cast<std::uint64_t>(trial);
+  rec.delta = 3;
+  rec.seed = static_cast<std::uint64_t>(trial) + 1;
+  rec.rounds = 7 * trial + copy;
+  rec.wall_seconds = 0.125 * trial;  // exactly representable
+  rec.verified = true;
+  rec.metric("copy", copy);
+  return rec;
+}
+
+TEST(RunRecordJson, RoundTripPreservesFieldsAndBytes) {
+  RunRecord rec = make_rec(3, 1);
+  rec.trace.record("phase_a", 5, 42, 0.25);
+  rec.trace.record("phase_b", 2, 0, 0.5);
+  rec.metric("extra.metric", -1.5);
+  const std::string line = rec.to_json();
+
+  const RunRecord parsed = RunRecord::from_json_line(line);
+  EXPECT_EQ(parsed.to_json(), line) << "verbatim re-emission";
+  EXPECT_EQ(parsed.bench, rec.bench);
+  EXPECT_EQ(parsed.algorithm, rec.algorithm);
+  EXPECT_EQ(parsed.graph_family, rec.graph_family);
+  EXPECT_EQ(parsed.n, rec.n);
+  EXPECT_EQ(parsed.delta, rec.delta);
+  EXPECT_EQ(parsed.seed, rec.seed);
+  EXPECT_EQ(parsed.rounds, rec.rounds);
+  EXPECT_DOUBLE_EQ(parsed.wall_seconds, rec.wall_seconds);
+  EXPECT_EQ(parsed.verified, rec.verified);
+  ASSERT_EQ(parsed.trace.phases().size(), rec.trace.phases().size());
+  EXPECT_EQ(parsed.trace.phases()[0].name, "phase_a");
+  EXPECT_EQ(parsed.trace.phases()[0].rounds, 5);
+  EXPECT_EQ(parsed.metrics(), rec.metrics());
+}
+
+TEST(RunRecordJson, MutationDropsVerbatimCache) {
+  RunRecord rec = make_rec(1, 0);
+  const std::string line = rec.to_json();
+  RunRecord parsed = RunRecord::from_json_line(line);
+  parsed.metric("copy", 99.0);
+  EXPECT_NE(parsed.to_json(), line);
+}
+
+TEST(RunRecordJson, RejectsMalformedInput) {
+  EXPECT_THROW(RunRecord::from_json_line("not json"), CheckFailure);
+  EXPECT_THROW(RunRecord::from_json_line("[1,2,3]"), CheckFailure);
+  EXPECT_THROW(RunRecord::from_json_line("{\"verified\": \"yes\"}"),
+               CheckFailure);
+}
+
 }  // namespace
 }  // namespace ckp

@@ -238,8 +238,8 @@ std::string rewrite(const JsonValue& v) {
 
 TEST(JsonFuzz, WriterParserRewriteFixedPoint) {
   // writer → parse → rewrite → parse → rewrite is a fixed point: the second
-  // rewrite reproduces the first byte-for-byte (the stability the
-  // checkpoint layer's verbatim re-emission rests on).
+  // rewrite reproduces the first byte-for-byte (the stability a RunRecord's
+  // parse-then-print round trip rests on).
   Rng rng(0xF00D);
   for (int iter = 0; iter < 300; ++iter) {
     JsonWriter w;

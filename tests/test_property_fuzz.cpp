@@ -102,7 +102,6 @@ BipartiteProblem random_bipartite_problem(Rng& rng) {
   BipartiteProblem p;
   p.active_degree = 2 + static_cast<int>(rng.next_below(2));
   p.passive_degree = 2;
-  const int labels = 2;
   p.label_names = {"a", "b"};
   auto random_configs = [&](int degree) {
     std::set<std::vector<int>> out;

@@ -1,23 +1,18 @@
-// The artifact store's serialization boundary: framed binary encoding for
-// Graph and BipartiteProblem (magic/version/length/checksum validation,
-// write→read→write byte-identity) and the keyed ArtifactStore itself
-// (atomic commit, load, sanitized keys, corruption fallback).
+// The memo's byte store: the artifact frame (magic/version/kind/length/
+// checksum validation) and the keyed ArtifactStore itself (atomic commit,
+// load, sanitized keys, concurrent commits).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
-#include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
+#include <vector>
 
-#include "core/roundelim.hpp"
-#include "graph/generators.hpp"
-#include "graph/regular.hpp"
-#include "graph/trees.hpp"
 #include "store/artifact_store.hpp"
 #include "store/binary_io.hpp"
-#include "store/serialize.hpp"
-#include "test_helpers.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace ckp {
 namespace {
@@ -31,36 +26,7 @@ std::string fresh_dir(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// ByteWriter / ByteReader.
-
-TEST(BinaryIo, ScalarsRoundTrip) {
-  ByteWriter w;
-  w.u8(0xAB);
-  w.u32(0xDEADBEEF);
-  w.u64(0x0123456789ABCDEFULL);
-  w.i32(-42);
-  w.i64(-1234567890123LL);
-  w.f64(3.14159265358979);
-  w.str("hello");
-  w.str("");
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.i32(), -42);
-  EXPECT_EQ(r.i64(), -1234567890123LL);
-  EXPECT_DOUBLE_EQ(r.f64(), 3.14159265358979);
-  EXPECT_EQ(r.str(), "hello");
-  EXPECT_EQ(r.str(), "");
-  r.expect_done();
-}
-
-TEST(BinaryIo, ReaderRejectsTruncation) {
-  ByteWriter w;
-  w.u64(7);
-  ByteReader r(std::string_view(w.bytes()).substr(0, 5));
-  EXPECT_THROW(r.u64(), CheckFailure);
-}
+// Artifact frame.
 
 TEST(BinaryIo, FrameValidatesEverything) {
   const std::string framed = frame_artifact(fourcc("TEST"), 3, "payload");
@@ -85,86 +51,6 @@ TEST(BinaryIo, FrameValidatesEverything) {
     EXPECT_THROW(unframe_artifact(corrupt, fourcc("TEST"), 3), CheckFailure)
         << "flipped byte " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Graph serialization.
-
-TEST(GraphSerialize, ZooRoundTripsByteIdentically) {
-  for (const auto& [name, g] : testing::small_graph_zoo()) {
-    const std::string bytes = graph_to_bytes(g);
-    const Graph reread = graph_from_bytes(bytes);
-    ASSERT_EQ(g.num_nodes(), reread.num_nodes()) << name;
-    ASSERT_EQ(g.num_edges(), reread.num_edges()) << name;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      EXPECT_EQ(g.endpoints(e), reread.endpoints(e)) << name;
-    }
-    EXPECT_EQ(graph_to_bytes(reread), bytes) << name;
-  }
-}
-
-TEST(GraphSerialize, EmptyGraph) {
-  const Graph g;
-  const Graph reread = graph_from_bytes(graph_to_bytes(g));
-  EXPECT_EQ(reread.num_nodes(), 0);
-  EXPECT_EQ(reread.num_edges(), 0);
-}
-
-TEST(GraphSerialize, RejectsCorruptEndpoint) {
-  // Corruption inside the payload flips the checksum first; a *consistent*
-  // but invalid payload (endpoint >= n) must fail the structural check, so
-  // build one through the real encoder with a forged frame.
-  ByteWriter w;
-  w.u64(2);
-  w.u64(1);
-  w.i32(0);
-  w.i32(5);  // out of range
-  const std::string framed = frame_artifact(fourcc("GRPH"), 1, w.bytes());
-  EXPECT_THROW(graph_from_bytes(framed), CheckFailure);
-}
-
-TEST(GraphSerialize, RejectsCountPayloadMismatch) {
-  ByteWriter w;
-  w.u64(4);
-  w.u64(3);  // claims 3 edges, provides 1
-  w.i32(0);
-  w.i32(1);
-  const std::string framed = frame_artifact(fourcc("GRPH"), 1, w.bytes());
-  EXPECT_THROW(graph_from_bytes(framed), CheckFailure);
-}
-
-// ---------------------------------------------------------------------------
-// Problem serialization.
-
-TEST(ProblemSerialize, SinklessFamilyRoundTripsByteIdentically) {
-  for (int delta = 3; delta <= 6; ++delta) {
-    for (const BipartiteProblem& p :
-         {sinkless_orientation_problem(delta),
-          sinkless_orientation_canonical(delta),
-          round_eliminate(sinkless_orientation_canonical(delta))}) {
-      const std::string bytes = problem_to_bytes(p);
-      const BipartiteProblem reread = problem_from_bytes(bytes);
-      EXPECT_TRUE(problems_identical(p, reread));
-      EXPECT_EQ(problem_to_bytes(reread), bytes);
-      EXPECT_EQ(problem_digest(p), problem_digest(reread));
-    }
-  }
-}
-
-TEST(ProblemSerialize, RejectsWrongArity) {
-  // A config whose arity disagrees with the declared degree must be
-  // rejected (the encoder and decoder both check it).
-  BipartiteProblem bad = sinkless_orientation_canonical(3);
-  bad.active.clear();
-  bad.active.insert({0});  // arity 1, degree is 3
-  EXPECT_THROW(problem_from_bytes(problem_to_bytes(bad)), CheckFailure);
-}
-
-TEST(ProblemSerialize, DigestSeparatesProblems) {
-  EXPECT_NE(problem_digest(sinkless_orientation_canonical(3)),
-            problem_digest(sinkless_orientation_canonical(4)));
-  EXPECT_NE(problem_digest(sinkless_orientation_canonical(3)),
-            problem_digest(sinkless_orientation_problem(3)));
 }
 
 // ---------------------------------------------------------------------------
@@ -210,110 +96,75 @@ TEST(ArtifactStore, NoTempFilesLeftAfterCommit) {
   EXPECT_EQ(files, 2);
 }
 
-TEST(ArtifactStore, GraphLoadOrComputeCachesAndByteMatches) {
-  ArtifactStore store(fresh_dir("store_graph"));
-  int computes = 0;
-  const auto make = [&] {
-    ++computes;
-    return make_complete_tree(100, 3);
+TEST(ArtifactStore, ConcurrentCommitsStayWhole) {
+  // Several serve worker slots can memoize the same job under one key, so
+  // commits race on one final path while others write distinct keys, and a
+  // memo lookup may read that key mid-race.
+  constexpr int kThreads = 4;
+  constexpr int kKeysPerThread = 50;
+  const std::uint32_t kind = fourcc("TEST");
+  ArtifactStore store(fresh_dir("store_concurrent"));
+  const auto own_payload = [](int t, int i) {
+    return "thread" + std::to_string(t) + ".key" + std::to_string(i) + "." +
+           std::string(512, static_cast<char>('a' + t));
   };
-  bool hit = true;
-  const Graph first = store.graph("tree", make, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(computes, 1);
-  const Graph second = store.graph("tree", make, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(computes, 1);
-  EXPECT_EQ(graph_to_bytes(first), graph_to_bytes(second));
-}
+  const auto shared_payload = [](int t) {
+    return "shared.thread" + std::to_string(t) + "." +
+           std::string(4096 + 64 * t, static_cast<char>('A' + t));
+  };
 
-TEST(ArtifactStore, CorruptArtifactFallsBackToRecompute) {
-  ArtifactStore store(fresh_dir("store_corrupt"));
-  int computes = 0;
-  const auto make = [&] {
-    ++computes;
-    return make_cycle(12);
+  const auto is_shared_payload = [&](std::string_view payload) {
+    for (int t = 0; t < kThreads; ++t) {
+      if (payload == shared_payload(t)) return true;
+    }
+    return false;
   };
-  store.graph("c", make);
-  EXPECT_EQ(computes, 1);
-  // Damage the committed artifact in place.
-  {
-    std::fstream f(store.path_for("c"),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(30);
-    f.put('\x7F');
+  // A load that sees the shared key must see one whole written value.
+  const auto shared_is_whole = [&] {
+    const auto bytes = store.load("shared");
+    if (!bytes) return false;
+    try {
+      return is_shared_payload(unframe_artifact(*bytes, kind, 1));
+    } catch (const CheckFailure&) {
+      return false;
+    }
+  };
+
+  std::atomic<int> torn_reads{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kKeysPerThread; ++i) {
+        store.commit("t" + std::to_string(t) + ".k" + std::to_string(i),
+                     frame_artifact(kind, 1, own_payload(t, i)));
+        store.commit("shared", frame_artifact(kind, 1, shared_payload(t)));
+        if (!shared_is_whole()) torn_reads.fetch_add(1);
+      }
+    });
   }
-  bool hit = true;
-  const Graph g = store.graph("c", make, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(g.num_nodes(), 12);
-  // The recompute re-committed a valid artifact.
-  bool hit2 = false;
-  store.graph("c", make, &hit2);
-  EXPECT_TRUE(hit2);
-  EXPECT_EQ(computes, 2);
-}
+  for (std::thread& th : threads) th.join();
 
-TEST(ArtifactStore, ProblemLoadOrCompute) {
-  ArtifactStore store(fresh_dir("store_problem"));
-  const BipartiteProblem p = sinkless_orientation_canonical(4);
-  int computes = 0;
-  const auto make = [&] {
-    ++computes;
-    return round_eliminate(p);
-  };
-  const BipartiteProblem a = store.problem("r", make);
-  const BipartiteProblem b = store.problem("r", make);
-  EXPECT_EQ(computes, 1);
-  EXPECT_TRUE(problems_identical(a, b));
-}
-
-// ---------------------------------------------------------------------------
-// Edge-colored graph serialization (bipartite regular instances).
-
-TEST(EdgeColoredGraphSerialize, RoundTripsByteIdentically) {
-  Rng rng(0xec6);
-  const EdgeColoredGraph g = make_random_bipartite_regular(16, 4, rng);
-  const std::string bytes = edge_colored_graph_to_bytes(g);
-  const EdgeColoredGraph reread = edge_colored_graph_from_bytes(bytes);
-  ASSERT_EQ(reread.graph.num_nodes(), g.graph.num_nodes());
-  ASSERT_EQ(reread.graph.num_edges(), g.graph.num_edges());
-  for (EdgeId e = 0; e < g.graph.num_edges(); ++e) {
-    EXPECT_EQ(reread.graph.endpoints(e), g.graph.endpoints(e));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kKeysPerThread; ++i) {
+      const auto bytes =
+          store.load("t" + std::to_string(t) + ".k" + std::to_string(i));
+      ASSERT_TRUE(bytes.has_value()) << "thread " << t << " key " << i;
+      EXPECT_EQ(unframe_artifact(*bytes, kind, 1), own_payload(t, i));
+    }
   }
-  EXPECT_EQ(reread.edge_color, g.edge_color);
-  EXPECT_EQ(reread.num_colors, g.num_colors);
-  EXPECT_EQ(edge_colored_graph_to_bytes(reread), bytes);
-}
+  EXPECT_EQ(torn_reads.load(), 0);
+  EXPECT_TRUE(shared_is_whole()) << "shared key holds no whole written value";
 
-TEST(EdgeColoredGraphSerialize, RejectsImproperColoring) {
-  // A consistent frame whose coloring is not proper (both edges at node 1
-  // get color 0) must fail the structural validation on decode.
-  EdgeColoredGraph g;
-  g.graph = Graph::from_edges(3, {{0, 1}, {1, 2}});
-  g.edge_color = {0, 0};
-  g.num_colors = 1;
-  EXPECT_THROW(edge_colored_graph_from_bytes(edge_colored_graph_to_bytes(g)),
-               CheckFailure);
-}
-
-TEST(ArtifactStore, EdgeColoredGraphLoadOrCompute) {
-  ArtifactStore store(fresh_dir("store_ecgr"));
-  int computes = 0;
-  const auto make = [&] {
-    ++computes;
-    Rng rng(7);
-    return make_random_bipartite_regular(12, 3, rng);
-  };
-  bool hit = true;
-  const EdgeColoredGraph first = store.edge_colored_graph("b", make, &hit);
-  EXPECT_FALSE(hit);
-  const EdgeColoredGraph second = store.edge_colored_graph("b", make, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(computes, 1);
-  EXPECT_EQ(edge_colored_graph_to_bytes(first),
-            edge_colored_graph_to_bytes(second));
+  int files = 0;
+  for (const auto& entry : fs::directory_iterator(store.dir())) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, kThreads * kKeysPerThread + 1);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "obs/trials.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -223,6 +224,36 @@ TEST(ThreadPool, EnvThreadCountRejectsGarbage) {
   ASSERT_EQ(setenv("CKP_THREADS", "-4", 1), 0);
   EXPECT_EQ(env_thread_count(), 0);
   ASSERT_EQ(unsetenv("CKP_THREADS"), 0);
+}
+
+TEST(Trials, MergeInTrialOrderAtAnyThreadCount) {
+  // Benches print tables and JSONL from what run_trials hands back, so the
+  // merged records must come back in trial order whatever the fan-out.
+  const TrialFn two_records = [](int t) {
+    RunRecord a;
+    a.algorithm = "alpha";
+    a.seed = static_cast<std::uint64_t>(t) + 1;
+    a.rounds = 7 * t;
+    RunRecord b = a;
+    b.algorithm = "beta";
+    return std::vector<RunRecord>{a, b};
+  };
+  const std::vector<RunRecord> serial = run_trials(9, 1, two_records);
+  ASSERT_EQ(serial.size(), 18u);
+  for (std::size_t t = 0; t < 9; ++t) {
+    EXPECT_EQ(serial[2 * t].seed, t + 1);
+    EXPECT_EQ(serial[2 * t].algorithm, "alpha");
+    EXPECT_EQ(serial[2 * t + 1].algorithm, "beta");
+  }
+  for (const int threads : {2, 4}) {
+    const std::vector<RunRecord> fanned = run_trials(9, threads, two_records);
+    ASSERT_EQ(fanned.size(), serial.size()) << threads << " threads";
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(fanned[i].to_json(), serial[i].to_json())
+          << threads << " threads, record " << i;
+    }
+  }
+  EXPECT_TRUE(run_trials(0, 4, two_records).empty());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 // 2 = usage/parse error. Keys present on only one side are reported as
 // warnings, never failures — sweeps legitimately grow and shrink across PRs.
 //
-//   ckp_bench_diff --baseline=BENCH_PR.json --current=BENCH_NEW.json \
+//   ckp_bench_diff --baseline=BENCH_PR.json --current=BENCH_NEW.json
 //       [--metrics=wall_seconds] [--max-ratio=1.25] [--min-abs=0.001] [--all]
 //
 // Metric names resolve against the RunRecord fields wall_seconds and rounds
